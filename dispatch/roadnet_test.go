@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -124,6 +125,83 @@ func TestWithRoadNetworkAlgoIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDurableRoadNetworkRevocationRestore: under the network metric,
+// cancellations that revoke assignments and a crash restored from a
+// snapshot plus the log suffix must leave no stale cached home leg
+// behind — in instant and batched mode with concurrent zone scoring,
+// a day restored mid-flight (right after a revocation, mid-day and
+// late) settles bit-identical to the uninterrupted day.
+func TestDurableRoadNetworkRevocationRestore(t *testing.T) {
+	cfg := trace.NewConfig(89, 200, 40, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	tr.Events = trace.WithChurn(tr, trace.DefaultChurn(4, 0.3, 0.5))
+	market, feed := durFeed(tr)
+	rn := RoadNetwork{Rows: 12, Cols: 14, Seed: 2}
+	ctx := context.Background()
+
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			opts := []Option{WithSeed(7), WithShards(4), WithRoadNetwork(rn)}
+			if batched {
+				opts = append(opts, WithBatching(45, Hungarian))
+			}
+			ref, err := New(market, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstRevoke := -1
+			for k, it := range feed {
+				if it.isTask || it.kind != model.EventCancel {
+					applyFeed(t, ref, tr, feed[k:k+1])
+					continue
+				}
+				out, err := ref.CancelTask(ctx, it.idx, it.at)
+				if err != nil {
+					t.Fatalf("CancelTask(%d): %v", it.idx, err)
+				}
+				if out.FreedDriverID >= 0 && firstRevoke < 0 {
+					firstRevoke = k
+				}
+			}
+			if firstRevoke < 0 {
+				t.Fatal("no cancellation revoked an assignment: the day does not exercise revocation")
+			}
+			wantStats, err := ref.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for _, cut := range []int{firstRevoke + 1, len(feed) / 2, len(feed) - 1} {
+				dir := t.TempDir()
+				svc, err := New(market, append(opts, WithDurability(dir, DurFsync("interval"), DurSnapshotEvery(8)))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				applyFeed(t, svc, tr, feed[:cut])
+				svc = nil // crash: journal abandoned, nothing flushed
+
+				restored, err := Restore(dir)
+				if err != nil {
+					t.Fatalf("cut %d: Restore: %v", cut, err)
+				}
+				applyFeed(t, restored, tr, feed[cut:])
+				gotStats, err := restored.Close()
+				if err != nil {
+					t.Fatalf("cut %d: Close: %v", cut, err)
+				}
+				gotStats.FeedDrops, wantStats.FeedDrops = 0, 0
+				if !reflect.DeepEqual(wantStats, gotStats) {
+					t.Fatalf("cut %d: stats diverged\nwant %+v\ngot  %+v", cut, wantStats, gotStats)
+				}
+				if !reflect.DeepEqual(ref.final, restored.final) {
+					t.Fatalf("cut %d: settled result diverged (served %d vs %d, profit %.9f vs %.9f)",
+						cut, restored.final.Served, ref.final.Served, restored.final.TotalProfit, ref.final.TotalProfit)
+				}
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/geo"
 )
@@ -39,6 +40,12 @@ func (d Driver) Validate() error {
 		return fmt.Errorf("driver %d: invalid source %v", d.ID, d.Source)
 	case !d.Dest.Valid():
 		return fmt.Errorf("driver %d: invalid destination %v", d.ID, d.Dest)
+	case !isFinite(d.Start):
+		return fmt.Errorf("driver %d: non-finite start %g", d.ID, d.Start)
+	case !isFinite(d.End):
+		return fmt.Errorf("driver %d: non-finite end %g", d.ID, d.End)
+	case !isFinite(d.SpeedKmh):
+		return fmt.Errorf("driver %d: non-finite speed %g", d.ID, d.SpeedKmh)
 	case d.Start >= d.End:
 		return fmt.Errorf("driver %d: start %.1f not before end %.1f", d.ID, d.Start, d.End)
 	case d.SpeedKmh < 0:
@@ -81,6 +88,16 @@ func (t Task) Validate() error {
 		return fmt.Errorf("task %d: invalid source %v", t.ID, t.Source)
 	case !t.Dest.Valid():
 		return fmt.Errorf("task %d: invalid destination %v", t.ID, t.Dest)
+	case !isFinite(t.Publish):
+		return fmt.Errorf("task %d: non-finite publish time %g", t.ID, t.Publish)
+	case !isFinite(t.StartBy):
+		return fmt.Errorf("task %d: non-finite start deadline %g", t.ID, t.StartBy)
+	case !isFinite(t.EndBy):
+		return fmt.Errorf("task %d: non-finite end deadline %g", t.ID, t.EndBy)
+	case !isFinite(t.Price):
+		return fmt.Errorf("task %d: non-finite price %g", t.ID, t.Price)
+	case !isFinite(t.WTP):
+		return fmt.Errorf("task %d: non-finite willingness-to-pay %g", t.ID, t.WTP)
 	case t.Publish >= t.StartBy:
 		return fmt.Errorf("task %d: publish %.1f not before start deadline %.1f", t.ID, t.Publish, t.StartBy)
 	case t.StartBy >= t.EndBy:
@@ -92,6 +109,11 @@ func (t Task) Validate() error {
 	}
 	return nil
 }
+
+// isFinite reports whether v is neither NaN nor ±Inf. The ordering
+// checks in Validate are written as rejections (x >= y), which every
+// comparison with NaN passes, so non-finite values are rejected first.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Window returns the scheduled duration budget t̄+_m − t̄−_m.
 func (t Task) Window() float64 { return t.EndBy - t.StartBy }

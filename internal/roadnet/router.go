@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,9 +45,8 @@ func (a Algorithm) String() string {
 // arguments, so crow-fly ring pruning (internal/spatial) stays
 // admissible under the network metric.
 //
-// The snap grid's ring-search termination bound assumes the box passed
-// to NewRouter covers the graph's nodes, which the generators in this
-// package guarantee.
+// The snap grid's bounds assume the box passed to NewRouter covers the
+// graph's nodes, which the generators in this package guarantee.
 //
 // Router is safe for concurrent use.
 type Router struct {
@@ -55,10 +55,14 @@ type Router struct {
 	lm   *Landmarks // ALT kernel state (nil under AlgoCH)
 	ch   *Hierarchy // CH kernel state (nil under AlgoALT)
 
-	// snap index: grid buckets of node ids.
-	grid    *geo.Grid
-	buckets [][]int32
-	spanKm  float64 // conservative min cell span, for ring termination
+	// snap index: grid buckets of node ids, and per-cell covers (see
+	// buildCovers): cell c's cover is covers[coverOff[c]:coverOff[c+1]],
+	// ascending node ids.
+	grid     *geo.Grid
+	buckets  [][]int32
+	spanKm   float64 // conservative min cell span, for ring termination
+	coverOff []int32
+	covers   []int32
 
 	maxPerShard int64
 	shards      [routeCacheShards]routeShard
@@ -101,7 +105,8 @@ type routeCall struct {
 }
 
 // NewRouter builds a contraction-hierarchy router over the graph,
-// indexing nodes into an s x s snap grid covering box. The route cache
+// indexing nodes into an s x s snap grid covering box (s < 1 sizes the
+// grid from the node count, about one node per cell). The route cache
 // holds up to DefaultCacheEntries routes; tune with SetCacheBound
 // before use.
 func NewRouter(g *Graph, box geo.BoundingBox, s int) *Router {
@@ -113,7 +118,7 @@ func NewRouter(g *Graph, box geo.BoundingBox, s int) *Router {
 // landmarks. Both yield bitwise-identical distances.
 func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router {
 	if s < 1 {
-		s = 8
+		s = max(1, int(math.Ceil(math.Sqrt(float64(g.NumNodes())))))
 	}
 	r := &Router{
 		g:    g,
@@ -128,6 +133,7 @@ func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router
 		c := r.grid.CellOf(g.Point(id))
 		r.buckets[c] = append(r.buckets[c], int32(id))
 	}
+	r.buildCovers()
 	if algo == AlgoALT {
 		r.lm = NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
 	} else {
@@ -153,30 +159,49 @@ func (r *Router) SetCacheBound(maxEntries int) {
 func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 
 // NearestNode returns the graph node closest to p (-1 on an empty
-// graph). It searches the snap grid in expanding Chebyshev rings around
-// p's cell and stops only when the next ring cannot possibly hold a
-// closer node: any point in a cell r rings away is at least
-// (r-1)·min(cell height, cell width) from p, the same conservative
-// bound internal/spatial uses. A populated-but-farther Moore
+// graph); ties go to the lowest node id. A query inside the box scans
+// only its cell's cover, which buildCovers proves holds every node that
+// can be nearest to any point of the cell. A query outside the box
+// falls back to ringNearest.
+func (r *Router) NearestNode(p geo.Point) int {
+	if !r.grid.Box.Contains(p) {
+		return r.ringNearest(p)
+	}
+	c := r.grid.CellOf(p)
+	best := int32(-1)
+	bestD := math.Inf(1)
+	for _, id := range r.covers[r.coverOff[c]:r.coverOff[c+1]] {
+		// Covers are in ascending id order, so a strict < keeps the
+		// lowest id among equidistant nodes.
+		if d := geo.Equirectangular(p, r.g.Point(int(id))); d < bestD {
+			best, bestD = id, d
+		}
+	}
+	return int(best)
+}
+
+// ringNearest is NearestNode for queries outside the box. It searches
+// the snap grid in expanding Chebyshev rings around p's (clamped) cell
+// and stops only when the next ring cannot possibly hold a node as
+// close as the best so far: any point in a cell r rings away is at
+// least (r-1)·min(cell height, cell width) from p, the same
+// conservative bound internal/spatial uses, and clamping only moves the
+// query closer to every in-box node. A populated-but-farther Moore
 // neighborhood therefore never masks the true nearest node in a later
 // ring.
-func (r *Router) NearestNode(p geo.Point) int {
+func (r *Router) ringNearest(p geo.Point) int {
 	cell := r.grid.CellOf(p)
 	row, col := cell/r.grid.Cols, cell%r.grid.Cols
 	best := int32(-1)
 	bestD := math.Inf(1)
 	consider := func(ids []int32) {
 		for _, id := range ids {
-			if d := geo.Equirectangular(p, r.g.Point(int(id))); d < bestD {
+			if d := geo.Equirectangular(p, r.g.Point(int(id))); d < bestD || d == bestD && id < best {
 				best, bestD = id, d
 			}
 		}
 	}
-	maxRing := r.grid.Rows
-	if r.grid.Cols > maxRing {
-		maxRing = r.grid.Cols
-	}
-	for ring := 0; ring <= maxRing; ring++ {
+	for ring := 0; ring <= r.maxRing(); ring++ {
 		if best >= 0 && float64(ring-1)*r.spanKm > bestD {
 			break
 		}
@@ -184,6 +209,101 @@ func (r *Router) NearestNode(p geo.Point) int {
 	}
 	return int(best)
 }
+
+// maxRing is the Chebyshev ring that reaches every cell from any cell.
+func (r *Router) maxRing() int { return max(r.grid.Rows, r.grid.Cols) }
+
+// coverSlack is the relative margin buildCovers widens its distance
+// bounds by. geo.Equirectangular's rounding error is a few ulps
+// (~1e-15 relative), so bounds padded by 1e-9 hold for the computed
+// distances, not only for exact arithmetic.
+const coverSlack = 1e-9
+
+// buildCovers computes every snap cell's cover: the nodes that can be
+// the nearest (or tied-nearest) node of some point in the cell. For a
+// cell C, lo(C,q) and hi(C,q) bound the distance from any point of C
+// to node q from below and above, and R_C = min_q hi(C,q) bounds every
+// point's nearest-node distance from above. The nearest node q* of a
+// point p in C (and every node tied with it) satisfies
+// lo(C,q*) ≤ d(p,q*) ≤ R_C, so the cover {q : lo(C,q) ≤ R_C} holds it.
+// The candidates come from a ring walk around C that stops once
+// (ring-1)·spanKm exceeds R_C: no node farther out can reach R_C, so
+// the build stays local instead of pairing every cell with every node.
+func (r *Router) buildCovers() {
+	box := r.grid.Box
+	rows, cols := r.grid.Rows, r.grid.Cols
+	latStep := (box.MaxLat - box.MinLat) / float64(rows)
+	lonStep := (box.MaxLon - box.MinLon) / float64(cols)
+	// Cell edges are padded so points CellOf rounds into a cell lie
+	// inside its rectangle.
+	padLat, padLon := coverSlack*(box.MaxLat-box.MinLat), coverSlack*(box.MaxLon-box.MinLon)
+
+	// Equirectangular scales longitude by cos of the pair's mean
+	// latitude, which lies between the lowest and highest latitude of
+	// any query or node.
+	latLo, latHi := box.MinLat-padLat, box.MaxLat+padLat
+	for id := 0; id < r.g.NumNodes(); id++ {
+		lat := r.g.Point(id).Lat
+		latLo, latHi = math.Min(latLo, lat), math.Max(latHi, lat)
+	}
+	cosA, cosB := math.Cos(degToRad(latLo)), math.Cos(degToRad(latHi))
+	cosLo, cosHi := math.Min(cosA, cosB), math.Max(cosA, cosB)
+	if latLo <= 0 && latHi >= 0 {
+		cosHi = 1
+	}
+
+	type cand struct {
+		id int32
+		lo float64
+	}
+	var cands []cand
+	r.coverOff = make([]int32, rows*cols+1)
+	for c := 0; c < rows*cols; c++ {
+		row, col := c/cols, c%cols
+		lat0, lat1 := box.MinLat+float64(row)*latStep-padLat, box.MinLat+float64(row+1)*latStep+padLat
+		lon0, lon1 := box.MinLon+float64(col)*lonStep-padLon, box.MinLon+float64(col+1)*lonStep+padLon
+		bound := math.Inf(1)
+		cands = cands[:0]
+		visit := func(cell int) {
+			for _, id := range r.buckets[cell] {
+				q := r.g.Point(int(id))
+				dLatLo, dLatHi := spanDist(q.Lat, lat0, lat1)
+				dLonLo, dLonHi := spanDist(q.Lon, lon0, lon1)
+				lo := geo.EarthRadiusKm * math.Hypot(degToRad(dLonLo)*cosLo, degToRad(dLatLo)) * (1 - coverSlack)
+				hi := geo.EarthRadiusKm * math.Hypot(degToRad(dLonHi)*cosHi, degToRad(dLatHi)) * (1 + coverSlack)
+				bound = math.Min(bound, hi)
+				cands = append(cands, cand{id, lo})
+			}
+		}
+		for ring := 0; ring <= r.maxRing(); ring++ {
+			if float64(ring-1)*r.spanKm*(1-coverSlack) > bound {
+				break
+			}
+			r.ringCells(row, col, ring, visit)
+		}
+		start := len(r.covers)
+		for _, k := range cands {
+			if k.lo <= bound {
+				r.covers = append(r.covers, k.id)
+			}
+		}
+		slices.Sort(r.covers[start:])
+		r.coverOff[c+1] = int32(len(r.covers))
+	}
+}
+
+// spanDist returns the least and greatest |x - y| over y in [lo, hi].
+func spanDist(x, lo, hi float64) (minD, maxD float64) {
+	switch {
+	case x < lo:
+		minD = lo - x
+	case x > hi:
+		minD = x - hi
+	}
+	return minD, math.Max(math.Abs(x-lo), math.Abs(x-hi))
+}
+
+func degToRad(d float64) float64 { return d * math.Pi / 180 }
 
 // ringCells visits the in-bounds cells at exactly Chebyshev distance
 // ring from (row, col), in deterministic order.

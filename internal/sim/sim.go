@@ -35,7 +35,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/model"
@@ -154,6 +156,16 @@ type driverState struct {
 	revenue float64
 	cost    float64 // travel cost incurred so far (deadhead + service)
 	ntasks  int
+
+	// homeBits caches the current→home distance, Market.Dist(loc,
+	// driver.Dest), as the complement of its float bits; 0 means not
+	// computed yet, so a fresh or restored state starts empty. assign
+	// clears it when it moves loc, a revocation restores the saved
+	// state's own cache, and homeLegKm fills it on first use. Scoring
+	// reads and fills it atomically so it stays safe to run from
+	// several goroutines; it is a plain word, not an atomic type,
+	// because driver states are copied by value.
+	homeBits uint64
 }
 
 // Engine simulates one day of the online market. Construct with New.
@@ -369,7 +381,7 @@ func (e *Engine) settle(res *Result) {
 		if st.ntasks == 0 {
 			continue
 		}
-		homeCost := e.Market.TravelCost(st.loc, drv.Dest)
+		homeCost := e.Market.TravelCostKm(e.homeLegKm(i))
 		excess := st.cost + homeCost - e.Market.BaselineCost(drv)
 		res.PerDriverProfit[i] = st.revenue - excess
 		res.TotalProfit += res.PerDriverProfit[i]
@@ -450,7 +462,6 @@ func (e *Engine) pickupArrival(i int, task model.Task, now, pickupKm float64) (f
 // location→pickup and dropoff→home distances.
 func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, arrival, pickupKm, homeKm float64) (Candidate, bool) {
 	drv := e.Drivers[i]
-	st := &e.states[i]
 
 	finish := arrival + service
 	if finish > task.EndBy {
@@ -472,10 +483,24 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 	// the task after the driver's current plan.
 	deadhead := e.Market.TravelCostKm(pickupKm)
 	newHome := e.Market.TravelCostKm(homeKm)
-	oldHome := e.Market.TravelCost(st.loc, drv.Dest)
+	oldHome := e.Market.TravelCostKm(e.homeLegKm(i))
 	margin := task.Price - (deadhead + serviceCost + newHome - oldHome)
 
 	return Candidate{Driver: i, Arrival: arrival, Margin: margin}, true
+}
+
+// homeLegKm returns the distance from driver i's current location to
+// her destination, computing it once per location. Its TravelCostKm is
+// bitwise TravelCost(loc, Dest): the same Dist value, converted by the
+// same float operation.
+func (e *Engine) homeLegKm(i int) float64 {
+	st := &e.states[i]
+	if b := atomic.LoadUint64(&st.homeBits); b != 0 {
+		return math.Float64frombits(^b)
+	}
+	km := e.Market.Dist(st.loc, e.Drivers[i].Dest)
+	atomic.StoreUint64(&st.homeBits, ^math.Float64bits(km))
+	return km
 }
 
 // assign commits the task to the candidate driver.
@@ -490,6 +515,7 @@ func (e *Engine) assign(c Candidate, task model.Task) {
 		st.freeAt = task.EndBy
 	}
 	st.loc = task.Dest
+	st.homeBits = 0
 	e.source.Moved(c.Driver)
 	if e.pricer != nil {
 		// The driver's capacity frees next at the dropoff zone.
