@@ -282,9 +282,9 @@ func BenchmarkOnlineNearest(b *testing.B) {
 
 // benchmarkDispatchScale runs a full online day at city-fleet driver
 // counts under one candidate source. The scan engine pays O(N) per
-// task; the grid-indexed engine only examines drivers inside the
-// pickup's reachability radius; the zone-sharded engine additionally
-// partitions that radius across per-zone indexes queried concurrently.
+// task; the sharded engine only examines drivers inside the pickup's
+// reachability radius, and with more than one shard it partitions that
+// radius across per-zone indexes queried concurrently.
 // All paths produce identical results (asserted by the sim differential
 // tests); the "served" metric is reported so a divergence would also be
 // visible here. `rideshare bench` records the same measurements as the
@@ -311,15 +311,16 @@ func benchmarkDispatchScale(b *testing.B, drivers int, src func() sim.CandidateS
 }
 
 func scanSrc() sim.CandidateSource { return nil }
-func gridSrc() sim.CandidateSource { return sim.NewGridSource(nil) }
 func shardedSrc(n int) func() sim.CandidateSource {
 	return func() sim.CandidateSource { return sim.NewShardedSource(n) }
 }
 
 func BenchmarkOnlineMaxMarginScan10k(b *testing.B) { benchmarkDispatchScale(b, 10_000, scanSrc) }
-func BenchmarkOnlineMaxMarginGrid10k(b *testing.B) { benchmarkDispatchScale(b, 10_000, gridSrc) }
 func BenchmarkOnlineMaxMarginScan50k(b *testing.B) { benchmarkDispatchScale(b, 50_000, scanSrc) }
-func BenchmarkOnlineMaxMarginGrid50k(b *testing.B) { benchmarkDispatchScale(b, 50_000, gridSrc) }
+
+func BenchmarkOnlineMaxMarginSharded1x10k(b *testing.B) {
+	benchmarkDispatchScale(b, 10_000, shardedSrc(1))
+}
 
 func BenchmarkOnlineMaxMarginSharded1x50k(b *testing.B) {
 	benchmarkDispatchScale(b, 50_000, shardedSrc(1))
@@ -367,8 +368,10 @@ func BenchmarkSpatialIndexNear(b *testing.B) {
 	for i, tk := range tasks {
 		pts[i] = tk.Source
 	}
-	grid := geo.NewGrid(geo.PortoBox, 64, 64)
-	ix := spatial.NewIndex(grid, pts)
+	ix := spatial.NewSparseIndex(geo.NewGrid(geo.PortoBox, 64, 64), len(pts))
+	for id, p := range pts {
+		ix.Add(id, p)
+	}
 	var visited int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -24,9 +23,9 @@ import (
 
 // cmdBench is the repository's perf trajectory recorder: it times one
 // full online day of maxMargin dispatch at city-fleet driver counts
-// under every candidate source — the sequential linear scan (what
-// -shards=1 runs), the grid index, and the zone-sharded engine at each
-// shard count — and writes the measurements as machine-readable JSON so
+// under every candidate source — the sequential linear scan and the
+// zone-sharded engine at each shard count (one shard is the plain grid
+// index) — and writes the measurements as machine-readable JSON so
 // future changes have a baseline to diff against. Every configuration
 // must produce identical market outcomes; the harness errors out if any
 // diverges, doubling as an end-to-end differential check.
@@ -38,8 +37,7 @@ type benchResult struct {
 	Tasks       int     `json:"tasks"`
 	Source      string  `json:"source"`
 	Shards      int     `json:"shards,omitempty"`
-	Mode        string  `json:"mode,omitempty"`   // batch | streaming (streaming suite only)
-	Kernel      string  `json:"kernel,omitempty"` // dense | sparse (windows suite only)
+	Mode        string  `json:"mode,omitempty"` // batch | streaming (streaming suite only)
 	Workers     int     `json:"workers,omitempty"`
 	Seconds     float64 `json:"seconds"` // median over -reps runs
 	TasksPerSec float64 `json:"tasks_per_sec"`
@@ -52,12 +50,6 @@ type benchResult struct {
 	// deltas, median over -reps runs), normalized per submitted task.
 	AllocsPerTask float64 `json:"allocs_per_task,omitempty"`
 	BytesPerTask  float64 `json:"bytes_per_task,omitempty"`
-	// SpeedupVsDense and AllocCutVsDense compare the sparse
-	// component-decomposed window kernel against the dense oracle on
-	// the same day (windows suite only); AllocCutVsDense is the
-	// fraction of the dense path's allocations eliminated.
-	SpeedupVsDense  float64 `json:"speedup_vs_dense,omitempty"`
-	AllocCutVsDense float64 `json:"alloc_cut_vs_dense,omitempty"`
 	// The -maxprocs sweep's column family: the GOMAXPROCS value this
 	// leg ran under, the day's revenue (part of the cross-leg identity
 	// check), per-decision wall-latency percentiles, and the speedup
@@ -82,15 +74,14 @@ type benchResult struct {
 	CacheHitRate       float64 `json:"cache_hit_rate,omitempty"`
 	RevenueDeltaVsCrow float64 `json:"revenue_delta_vs_crowfly,omitempty"`
 	// The -router suite's column family (BENCH_10): the routing kernel a
-	// leg ran on, its preprocessing wall time, cold point-to-point
-	// queries/sec (with each kernel's speedup over the ALT leg), the
-	// one-to-many batch API's speedup over a looped Dist on the same
-	// candidate sets, and the batched day's throughput under a cold
-	// route cache next to a warmed one.
+	// leg ran on (ch, or its dijkstra reference), CH preprocessing wall
+	// time, cold point-to-point queries/sec, the one-to-many batch API's
+	// speedup over a looped Dist on the same candidate sets, and the
+	// batched day's throughput under a cold route cache next to a
+	// warmed one.
 	Router            string  `json:"router,omitempty"`
 	PreprocessSeconds float64 `json:"preprocess_seconds,omitempty"`
 	QueriesPerSec     float64 `json:"queries_per_sec,omitempty"`
-	SpeedupVsALT      float64 `json:"speedup_vs_alt,omitempty"`
 	DistManySpeedup   float64 `json:"distmany_speedup_vs_looped,omitempty"`
 	ColdTasksPerSec   float64 `json:"cold_tasks_per_sec,omitempty"`
 	WarmTasksPerSec   float64 `json:"warm_tasks_per_sec,omitempty"`
@@ -128,11 +119,11 @@ func cmdBench(args []string) error {
 	seed := fs.Int64("seed", 27, "trace seed")
 	streaming := fs.Bool("streaming", false, "measure streaming overhead: batch drain vs dispatch.Service replay of the same day")
 	batched := fs.Bool("batched", false, "measure streaming-batched overhead: Engine.RunBatched drain vs a WithBatching dispatch.Service replay of the same day")
-	windows := fs.Bool("windows", false, "measure window-clearing kernels: dense whole-matrix vs sparse component-decomposed solve of the same batched day, with per-task allocation accounting")
+	windows := fs.Bool("windows", false, "measure the sparse component-decomposed window solve of a batched day, serially and at -match-workers, with per-task allocation accounting")
 	oracle := fs.Bool("oracle", false, "run the offline-optimum oracle suite: three online policies vs the warm-started sparse branch and bound on the same churned day, with a {1,2,4}-worker determinism sweep")
 	durable := fs.Bool("durable", false, "price the durability rail: the same batched day in-memory vs journaled under each fsync policy, plus Restore timings per snapshot cadence")
 	roadnetSuite := fs.Bool("roadnet", false, "price the road-network distance rail: the same batched day under crow-fly vs street-graph shortest paths vs network+live-surge on a spiked trace, with a shard × match-worker identity sweep per leg")
-	routerList := fs.String("router", "", "comma-separated routing kernels (ch,alt) for the -roadnet router suite: per-kernel preprocessing, cold point-to-point and one-to-many microbenchmarks plus a cold- vs warm-cache batched day, with cross-kernel bit-identity enforced; writes BENCH_10.json by default")
+	routerSuite := fs.Bool("router", false, "with -roadnet, run the routing-kernel suite instead: CH preprocessing, cold point-to-point queries against Dijkstra, one-to-many batching, and a cold- vs warm-cache batched day; writes BENCH_10.json by default")
 	roadnetCache := fs.Int("roadnet-cache", 0, "route-cache bound in memoized node pairs for the -roadnet suites (0 = default)")
 	snapIntervalsList := fs.String("snap-intervals", "16,256,4096", "comma-separated snapshot cadences for the -durable suite's recovery legs")
 	churn := fs.Float64("churn", 0.2, "driver churn fraction for the -oracle suite")
@@ -144,6 +135,9 @@ func cmdBench(args []string) error {
 	maxprocsList := fs.String("maxprocs", "", "comma-separated GOMAXPROCS legs to sweep (0 = all CPUs); pairs with -windows or -batched, adds per-decision latency percentiles, and writes BENCH_6.json by default")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("bench: unexpected argument %q", fs.Arg(0))
 	}
 	// A sweep scales the component solver with the leg's GOMAXPROCS
 	// unless the user pinned -match-workers explicitly.
@@ -177,11 +171,7 @@ func cmdBench(args []string) error {
 	if *roadnetSuite && *batchWindow == 0 {
 		return fmt.Errorf("bench: -roadnet needs a positive -batch-window, got %g", *batchWindow)
 	}
-	routers, err := parseRouters(*routerList)
-	if err != nil {
-		return fmt.Errorf("bench: -router: %w", err)
-	}
-	if len(routers) > 0 && !*roadnetSuite {
+	if *routerSuite && !*roadnetSuite {
 		return fmt.Errorf("bench: -router pairs with -roadnet")
 	}
 	if *roadnetCache < 0 {
@@ -301,7 +291,7 @@ func cmdBench(args []string) error {
 		}
 		if *roadnetSuite {
 			*out = "BENCH_9.json"
-			if len(routers) > 0 {
+			if *routerSuite {
 				*out = "BENCH_10.json"
 			}
 		}
@@ -311,8 +301,8 @@ func cmdBench(args []string) error {
 		if batchPolicy == dispatch.Auction {
 			simAlgo = sim.BatchAuction
 		}
-		if len(routers) > 0 {
-			return benchRouters(*out, *tasks, driverCounts, *reps, *seed, *batchWindow, simAlgo, routers, *roadnetCache)
+		if *routerSuite {
+			return benchRouters(*out, *tasks, driverCounts, *reps, *seed, *batchWindow, simAlgo, *roadnetCache)
 		}
 		return benchRoadnet(*out, *tasks, driverCounts, *reps, *seed, *batchWindow, simAlgo, *roadnetCache)
 	}
@@ -360,7 +350,6 @@ func cmdBench(args []string) error {
 		}
 		configs := []config{
 			{"scan", 0, func() sim.CandidateSource { return nil }},
-			{"grid", 0, func() sim.CandidateSource { return sim.NewGridSource(nil) }},
 		}
 		for _, s := range shardCounts {
 			s := s
@@ -706,22 +695,17 @@ func benchBatched(out string, tasks int, driverCounts, shardCounts []int, reps i
 	return writeBenchReport(out, report)
 }
 
-// benchWindows prices the window-clearing kernels against each other:
-// the same batched day is drained once through the dense whole-matrix
-// oracle (Engine.DenseWindows) and once through the sparse
-// component-decomposed solve, on the sharded candidate source, with
-// runtime.MemStats deltas recording the allocation bill of each run.
-// The two kernels must produce bit-identical assignments — checked
-// here over the full Assignment map, not just serve counts — so the
-// speedup and allocation columns compare equal outputs, never cheaper
-// approximations.
+// benchWindows prices the sparse component-decomposed window solve on
+// the same batched day, on the sharded candidate source, with
+// runtime.MemStats deltas recording the allocation bill of each run: a
+// serial leg, plus a leg at -match-workers when that is above 1, which
+// must settle a bit-identical Result. (The dense whole-matrix solve it
+// replaced is now a test oracle; BENCH_5.json keeps its numbers.)
 //
 // Note the workload: windows only earn their keep when they hold more
 // than one order, so this suite defaults to a denser day than the
 // BENCH_2–BENCH_4 trajectory (scripts/bench.sh passes -tasks/-batch-
-// window sized for ~15-order windows). The dense oracle's cost grows
-// with the cube of (batch + column union), which is precisely the
-// regime the sparse kernel exists for.
+// window sized for ~15-order windows).
 func benchWindows(out string, tasks int, driverCounts, shardCounts []int, reps int, seed int64,
 	window float64, algo dispatch.BatchAlgorithm, workers int) error {
 	simAlgo := sim.BatchHungarian
@@ -729,15 +713,10 @@ func benchWindows(out string, tasks int, driverCounts, shardCounts []int, reps i
 		simAlgo = sim.BatchAuction
 	}
 	// One sharded source configuration: the largest requested shard
-	// count (the fastest candidate generator, so kernel time dominates
-	// the column least). This suite compares kernels, not sources —
-	// say so when the -shards list asked for more than one.
-	shards := 1
-	for _, s := range shardCounts {
-		if s > shards {
-			shards = s
-		}
-	}
+	// count (the fastest candidate generator, so it dilutes the window
+	// solve's share least). Say so when the -shards list asked for more
+	// than one.
+	shards := maxShards(shardCounts)
 	if len(shardCounts) > 1 {
 		fmt.Fprintf(os.Stderr, "bench: -windows times one candidate source; using sharded-%d (the largest of -shards %v)\n",
 			shards, shardCounts)
@@ -748,22 +727,16 @@ func benchWindows(out string, tasks int, driverCounts, shardCounts []int, reps i
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Reps:       reps,
 	}
-	type leg struct {
-		kernel  string
-		dense   bool
-		workers int
-	}
-	legs := []leg{{"dense", true, 1}, {"sparse", false, 1}}
+	legWorkers := []int{1}
 	if workers > 1 {
-		legs = append(legs, leg{"sparse", false, workers})
+		legWorkers = append(legWorkers, workers)
 	}
 	for _, drivers := range driverCounts {
 		cfg := trace.NewConfig(seed, tasks, drivers, trace.Hitchhiking)
 		tr := trace.NewGenerator(cfg).Generate(nil)
 
-		var denseRes sim.Result
-		var denseSec, denseAllocs float64
-		for _, l := range legs {
+		var serialRes sim.Result
+		for _, w := range legWorkers {
 			eng, err := sim.New(cfg.Market, tr.Drivers, 1)
 			if err != nil {
 				return err
@@ -771,8 +744,7 @@ func benchWindows(out string, tasks int, driverCounts, shardCounts []int, reps i
 			if shards > 1 {
 				eng.SetCandidateSource(sim.NewShardedSource(shards))
 			}
-			eng.DenseWindows = l.dense
-			eng.MatchWorkers = l.workers
+			eng.MatchWorkers = w
 
 			var res sim.Result
 			times := make([]float64, 0, reps)
@@ -796,64 +768,26 @@ func benchWindows(out string, tasks int, driverCounts, shardCounts []int, reps i
 			medAllocs := allocs[len(allocs)/2]
 			medBytes := bytes[len(bytes)/2]
 
-			if l.dense {
-				denseRes, denseSec, denseAllocs = res, median, medAllocs
-			} else {
-				// The equal-output guarantee, checked end to end: the two
-				// kernels must serve the same orders for the same money.
-				// The task→driver maps are compared too, but tied optima
-				// are tolerated and reported: on degenerate windows
-				// (several drivers offering bitwise-equal margins) each
-				// kernel commits its own exact optimum — the per-window
-				// audit test proves those never trade away weight.
-				if res.Served != denseRes.Served || res.Rejected != denseRes.Rejected {
-					return fmt.Errorf("bench: sparse kernel (workers=%d) served %d/rejected %d vs dense %d/%d at %d drivers — this is a bug",
-						l.workers, res.Served, res.Rejected, denseRes.Served, denseRes.Rejected, drivers)
-				}
-				if math.Abs(res.Revenue-denseRes.Revenue) > 1e-6*math.Max(1, math.Abs(denseRes.Revenue)) {
-					return fmt.Errorf("bench: sparse kernel (workers=%d) revenue %.9f vs dense %.9f at %d drivers — this is a bug",
-						l.workers, res.Revenue, denseRes.Revenue, drivers)
-				}
-				if !reflect.DeepEqual(res.Assignment, denseRes.Assignment) {
-					// Symmetric difference: a task served by only one
-					// kernel counts once from each side's perspective.
-					diffs := 0
-					for ti, drv := range denseRes.Assignment {
-						if sd, ok := res.Assignment[ti]; !ok || sd != drv {
-							diffs++
-						}
-					}
-					for ti := range res.Assignment {
-						if _, ok := denseRes.Assignment[ti]; !ok {
-							diffs++
-						}
-					}
-					fmt.Fprintf(os.Stderr, "bench: note: %d of %d assignments differ between kernels at %d drivers (tied optima; equal served counts and revenue)\n",
-						diffs, len(denseRes.Assignment), drivers)
-				}
+			if w == 1 {
+				serialRes = res
+			} else if !reflect.DeepEqual(res, serialRes) {
+				return fmt.Errorf("bench: window solve with %d workers served %d (revenue %.9f) vs %d (%.9f) serially at %d drivers — this is a bug",
+					w, res.Served, res.Revenue, serialRes.Served, serialRes.Revenue, drivers)
 			}
 
-			name := fmt.Sprintf("windows/drivers=%d/sharded-%d/%s", drivers, shards, l.kernel)
-			if l.workers > 1 {
-				name = fmt.Sprintf("%s-w%d", name, l.workers)
+			name := fmt.Sprintf("windows/drivers=%d/sharded-%d/sparse", drivers, shards)
+			if w > 1 {
+				name = fmt.Sprintf("%s-w%d", name, w)
 			}
-			r := benchResult{
+			report.Results = append(report.Results, benchResult{
 				Name: name, Drivers: drivers, Tasks: tasks,
-				Source: "sharded", Shards: shards,
-				Kernel: l.kernel, Workers: l.workers,
+				Source: "sharded", Shards: shards, Workers: w,
 				Seconds: median, TasksPerSec: float64(tasks) / median,
 				Served:        res.Served,
 				AllocsPerTask: medAllocs, BytesPerTask: medBytes,
-			}
-			if !l.dense {
-				r.SpeedupVsDense = denseSec / median
-				if denseAllocs > 0 {
-					r.AllocCutVsDense = 1 - medAllocs/denseAllocs
-				}
-			}
-			report.Results = append(report.Results, r)
-			fmt.Fprintf(os.Stderr, "%-48s %8.3fs  %8.0f tasks/s  %9.0f allocs/task  %.2fx vs dense\n",
-				name, median, float64(tasks)/median, medAllocs, r.SpeedupVsDense)
+			})
+			fmt.Fprintf(os.Stderr, "%-48s %8.3fs  %8.0f tasks/s  %9.0f allocs/task\n",
+				name, median, float64(tasks)/median, medAllocs)
 		}
 	}
 	return writeBenchReport(out, report)
@@ -980,8 +914,7 @@ func benchWindowsMaxprocs(out string, tasks int, driverCounts, shardCounts []int
 			r := benchResult{
 				Name:    fmt.Sprintf("windows/drivers=%d/sharded-%d/sparse/procs=%d", drivers, shards, p),
 				Drivers: drivers, Tasks: tasks,
-				Source: "sharded", Shards: shards,
-				Kernel: "sparse", Workers: w,
+				Source: "sharded", Shards: shards, Workers: w,
 				Seconds: median, TasksPerSec: float64(tasks) / median,
 				Served: res.Served, Revenue: res.Revenue,
 				GoMaxProcs: p, Latency: &sum,

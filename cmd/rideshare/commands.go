@@ -206,7 +206,7 @@ func cmdSimulate(args []string) error {
 	fs.StringVar(batchAlgo, "batch-algo", "hungarian", "alias for -batchalgo")
 	replanPeriod := fs.Float64("replanperiod", 60, "flush period in seconds (replan dispatcher only)")
 	seed := fs.Int64("seed", 1, "random seed for tie-breaking")
-	indexed := fs.Bool("indexed", false, "use the grid-indexed candidate source (identical results, faster on large fleets)")
+	indexed := fs.Bool("indexed", false, "use the spatially indexed candidate source (one zone shard; identical results, faster on large fleets)")
 	shards := fs.Int("shards", 1, "zone shards for candidate generation; 1 reproduces the sequential engine exactly, higher counts give identical results faster")
 	churn := fs.Float64("churn", 0, "override the trace's events: this fraction of drivers retires early (half also joins mid-day)")
 	cancel := fs.Float64("cancel", 0, "override the trace's events: this fraction of tasks is cancelled before pickup")
@@ -255,11 +255,8 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	eng.RealTime = *realTime
-	switch {
-	case *shards > 1:
+	if *shards > 1 || *indexed {
 		eng.SetCandidateSource(sim.NewShardedSource(*shards))
-	case *indexed:
-		eng.SetCandidateSource(sim.NewGridSource(nil))
 	}
 
 	var res sim.Result

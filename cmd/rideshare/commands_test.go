@@ -301,9 +301,9 @@ func TestCmdBenchWritesJSON(t *testing.T) {
 	if report.Schema != "rideshare-bench/v1" {
 		t.Fatalf("schema = %q", report.Schema)
 	}
-	// scan + grid + two shard counts.
-	if len(report.Results) != 4 {
-		t.Fatalf("results = %d, want 4", len(report.Results))
+	// scan + two shard counts.
+	if len(report.Results) != 3 {
+		t.Fatalf("results = %d, want 3", len(report.Results))
 	}
 	for _, r := range report.Results {
 		if r.Seconds <= 0 || r.TasksPerSec <= 0 {
@@ -362,11 +362,10 @@ func TestCmdBenchBatchedWritesJSON(t *testing.T) {
 	}
 }
 
-// TestCmdBenchWindowsWritesJSON: the -windows suite records a
-// dense/sparse kernel pair per fleet size with the allocation columns
-// filled, equal served counts across the pair (the kernel equivalence
-// check runs inside the command), and the sparse leg's speedup column
-// populated. A -match-workers above 1 adds a parallel sparse leg.
+// TestCmdBenchWindowsWritesJSON: the -windows suite records a serial
+// window-solve leg per fleet size with the allocation columns filled,
+// and a -match-workers above 1 adds a parallel leg with equal served
+// counts (the full-Result identity check runs inside the command).
 func TestCmdBenchWindowsWritesJSON(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "bench5.json")
@@ -381,14 +380,12 @@ func TestCmdBenchWindowsWritesJSON(t *testing.T) {
 	var report struct {
 		Schema  string `json:"schema"`
 		Results []struct {
-			Name           string  `json:"name"`
-			Kernel         string  `json:"kernel"`
-			Workers        int     `json:"workers"`
-			Seconds        float64 `json:"seconds"`
-			Served         int     `json:"served"`
-			AllocsPerTask  float64 `json:"allocs_per_task"`
-			BytesPerTask   float64 `json:"bytes_per_task"`
-			SpeedupVsDense float64 `json:"speedup_vs_dense"`
+			Name          string  `json:"name"`
+			Workers       int     `json:"workers"`
+			Seconds       float64 `json:"seconds"`
+			Served        int     `json:"served"`
+			AllocsPerTask float64 `json:"allocs_per_task"`
+			BytesPerTask  float64 `json:"bytes_per_task"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(data, &report); err != nil {
@@ -397,30 +394,21 @@ func TestCmdBenchWindowsWritesJSON(t *testing.T) {
 	if report.Schema != "rideshare-bench/v1" {
 		t.Fatalf("schema = %q", report.Schema)
 	}
-	// One fleet size, three legs: dense, sparse serial, sparse workers=2.
-	if len(report.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(report.Results))
+	// One fleet size, two legs: serial and workers=2.
+	if len(report.Results) != 2 {
+		t.Fatalf("results = %d, want 2", len(report.Results))
 	}
-	dense, sparse, parallel := report.Results[0], report.Results[1], report.Results[2]
-	if dense.Kernel != "dense" || sparse.Kernel != "sparse" || parallel.Kernel != "sparse" {
-		t.Fatalf("kernels: %q/%q/%q", dense.Kernel, sparse.Kernel, parallel.Kernel)
-	}
-	if parallel.Workers != 2 {
-		t.Fatalf("parallel leg workers = %d", parallel.Workers)
+	serial, parallel := report.Results[0], report.Results[1]
+	if serial.Workers != 1 || parallel.Workers != 2 {
+		t.Fatalf("leg workers = %d/%d, want 1/2", serial.Workers, parallel.Workers)
 	}
 	for i, r := range report.Results {
-		if r.Served != dense.Served {
-			t.Fatalf("leg %d served %d, dense %d", i, r.Served, dense.Served)
+		if r.Served != serial.Served {
+			t.Fatalf("leg %d served %d, serial %d", i, r.Served, serial.Served)
 		}
 		if r.Seconds <= 0 || r.AllocsPerTask < 0 || r.BytesPerTask < 0 {
 			t.Fatalf("leg %d has empty measurement columns: %+v", i, r)
 		}
-	}
-	if sparse.SpeedupVsDense <= 0 || parallel.SpeedupVsDense <= 0 {
-		t.Fatalf("sparse legs missing speedup_vs_dense: %+v / %+v", sparse, parallel)
-	}
-	if dense.SpeedupVsDense != 0 {
-		t.Fatalf("dense leg carries speedup_vs_dense %g", dense.SpeedupVsDense)
 	}
 }
 

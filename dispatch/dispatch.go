@@ -512,9 +512,14 @@ func simErr(err error) error {
 	return err
 }
 
-// checkTime enforces the service's ordering policy for a submission
-// timestamped at. It must be called with the mutex held.
-func (s *Service) checkTime(at float64) error {
+// checkTime refuses a non-finite at with the caller's sentinel (NaN
+// passes every ordering comparison and would reach the journal and the
+// event queue) and enforces the service's ordering policy. It must be
+// called with the mutex held.
+func (s *Service) checkTime(at float64, invalid error) error {
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		return fmt.Errorf("%w: time %g not finite", invalid, at)
+	}
 	if s.strict && at < s.st.Now() {
 		return fmt.Errorf("%w: %g < %g", ErrOutOfOrder, at, s.st.Now())
 	}
@@ -560,7 +565,7 @@ func (s *Service) SubmitTask(ctx context.Context, t Task) (Assignment, error) {
 	if err != nil {
 		return Assignment{}, err
 	}
-	if err := s.checkTime(t.Publish); err != nil {
+	if err := s.checkTime(t.Publish, ErrInvalidTask); err != nil {
 		return Assignment{}, err
 	}
 	if err := s.journal(recSubmit, walRecord{Task: &t}); err != nil {
@@ -641,7 +646,7 @@ func (s *Service) AddDriver(ctx context.Context, d Driver) error {
 	if at == 0 {
 		at = s.st.Now()
 	}
-	if err := s.checkTime(at); err != nil {
+	if err := s.checkTime(at, ErrInvalidDriver); err != nil {
 		return err
 	}
 	if effAt := s.st.Now(); at < effAt {
@@ -701,7 +706,7 @@ func (s *Service) RetireDriver(ctx context.Context, driverID int, at float64) er
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDriver, driverID)
 	}
-	if err := s.checkTime(at); err != nil {
+	if err := s.checkTime(at, ErrInvalidDriver); err != nil {
 		return err
 	}
 	if err := s.journal(recRetire, walRecord{ID: driverID, At: at}); err != nil {
@@ -735,7 +740,7 @@ func (s *Service) CancelTask(ctx context.Context, taskID int, at float64) (Cance
 	if !ok {
 		return CancelOutcome{}, fmt.Errorf("%w: %d", ErrUnknownTask, taskID)
 	}
-	if err := s.checkTime(at); err != nil {
+	if err := s.checkTime(at, ErrInvalidCancel); err != nil {
 		return CancelOutcome{}, err
 	}
 	if at <= s.taskPublish(idx) && s.strict {

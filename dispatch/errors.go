@@ -28,11 +28,12 @@ var (
 	ErrInvalidTask = errors.New("dispatch: invalid task")
 
 	// ErrInvalidDriver: the driver fails model validation (working
-	// window, coordinates, speed).
+	// window, coordinates, speed), the Market's speed or gas price is
+	// unusable, or a join or retirement time is not finite.
 	ErrInvalidDriver = errors.New("dispatch: invalid driver")
 
 	// ErrInvalidCancel: the cancellation is not after the task's
-	// publish time.
+	// publish time, or its time is not finite.
 	ErrInvalidCancel = errors.New("dispatch: cancellation not after task publish")
 
 	// ErrOutOfOrder: the event's timestamp precedes the service's

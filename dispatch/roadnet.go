@@ -26,10 +26,11 @@ type RoadNetwork struct {
 	// CacheEntries bounds the router's route cache (node pairs held
 	// across all shards); must be ≥ 0, where 0 means the default.
 	CacheEntries int `json:"cache_entries,omitempty"`
-	// Algo selects the routing kernel: "" or "ch" for contraction
-	// hierarchies (the default; enables one-to-many candidate
-	// batching), "alt" for landmark A*. The kernels return bitwise
-	// identical distances, so replays and restores may mix them.
+	// Algo names the routing kernel. Contraction hierarchies are the
+	// only one: "" and "ch" select it, and "alt" — a retired kernel
+	// that returned bitwise-identical distances — is accepted as an
+	// alias so journals that recorded it still restore. Anything else
+	// is rejected.
 	Algo string `json:"algo,omitempty"`
 }
 
@@ -55,24 +56,14 @@ func (rn RoadNetwork) normalized() (RoadNetwork, error) {
 	if rn.CacheEntries < 0 {
 		return rn, fmt.Errorf("%w: road network cache entries %d, want ≥ 0", ErrInvalidOption, rn.CacheEntries)
 	}
-	if rn.Algo == "" {
-		rn.Algo = roadnet.AlgoCH.String()
-	}
-	if _, err := rn.algorithm(); err != nil {
-		return rn, err
+	switch rn.Algo {
+	case "":
+		rn.Algo = "ch"
+	case "ch", "alt":
+	default:
+		return rn, fmt.Errorf("%w: road network algo %q, want \"ch\"", ErrInvalidOption, rn.Algo)
 	}
 	return rn, nil
-}
-
-// algorithm maps the Algo string onto the router's kernel enum.
-func (rn RoadNetwork) algorithm() (roadnet.Algorithm, error) {
-	switch rn.Algo {
-	case "", roadnet.AlgoCH.String():
-		return roadnet.AlgoCH, nil
-	case roadnet.AlgoALT.String():
-		return roadnet.AlgoALT, nil
-	}
-	return 0, fmt.Errorf("%w: road network algo %q, want %q or %q", ErrInvalidOption, rn.Algo, roadnet.AlgoCH, roadnet.AlgoALT)
 }
 
 // build generates the street graph and wraps it in a router whose Dist
@@ -84,11 +75,7 @@ func (rn RoadNetwork) build() (*roadnet.Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: road network: %v", ErrInvalidOption, err)
 	}
-	algo, err := rn.algorithm()
-	if err != nil {
-		return nil, err
-	}
-	r := roadnet.NewRouterAlgo(g, gcfg.Box, 0, algo)
+	r := roadnet.NewRouter(g, gcfg.Box, 0)
 	r.SetCacheBound(rn.CacheEntries)
 	return r, nil
 }

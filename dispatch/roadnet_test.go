@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -84,12 +87,11 @@ func TestWithRoadNetworkShardWorkerIdentity(t *testing.T) {
 	}
 }
 
-// TestWithRoadNetworkAlgoIdentity: the routing kernel must be invisible
-// in the books. Full trace replays — instant and batched, across shard
-// and match-worker counts, under churn — settle bit-identically whether
-// the router runs contraction hierarchies or landmark A*, because both
-// kernels return bitwise-equal distances (and the CH one-to-many batch
-// path is bitwise-equal to looped lookups).
+// TestWithRoadNetworkAlgoIdentity: every accepted Algo spelling builds
+// the same CH router, so the choice is invisible in the books. Full
+// trace replays — instant and batched, across shard and match-worker
+// counts, under churn — settle bit-identically under "ch" and the
+// legacy "alt" alias.
 func TestWithRoadNetworkAlgoIdentity(t *testing.T) {
 	cfg := trace.NewConfig(89, 100, 50, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -205,10 +207,10 @@ func TestDurableRoadNetworkRevocationRestore(t *testing.T) {
 	}
 }
 
-// TestDurableRoadNetworkAlgoRestore: the Algo choice is journaled and
-// survives a crash, and an ALT day restored mid-flight still settles
-// bit-identical to an uninterrupted CH day — kernel and crash recovery
-// are both invisible.
+// TestDurableRoadNetworkAlgoRestore: a journal whose config records the
+// legacy "algo":"alt" still restores — the alias keeps its spelling in
+// the journal and builds the CH router — and the day restored
+// mid-flight settles bit-identical to an uninterrupted "ch" day.
 func TestDurableRoadNetworkAlgoRestore(t *testing.T) {
 	cfg := trace.NewConfig(97, 80, 30, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -240,7 +242,10 @@ func TestDurableRoadNetworkAlgoRestore(t *testing.T) {
 		t.Fatalf("Restore: %v", err)
 	}
 	if got := restored.cfg.roadnet; got == nil || got.Algo != "alt" {
-		t.Fatalf("restored service lost the routing kernel choice: %+v", got)
+		t.Fatalf("restored service lost the journaled algo: %+v", got)
+	}
+	if !journalMentions(t, dir, `"algo":"alt"`) {
+		t.Fatal(`journal does not record "algo":"alt"; the restore did not exercise the alias`)
 	}
 	applyFeed(t, restored, tr, feed[cut:])
 	if _, err := restored.Close(); err != nil {
@@ -250,6 +255,26 @@ func TestDurableRoadNetworkAlgoRestore(t *testing.T) {
 		t.Fatalf("alt restore settled differently from uninterrupted ch day (served %d vs %d, revenue %.9f vs %.9f)",
 			restored.final.Served, ref.final.Served, restored.final.Revenue, ref.final.Revenue)
 	}
+}
+
+// journalMentions reports whether any file of the journal directory
+// holds s verbatim.
+func journalMentions(t *testing.T, dir, s string) bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(b), s) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestWithDistanceFunc: an arbitrary metric is honored (an inflated

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/trace"
 )
 
@@ -110,5 +112,111 @@ func TestNonFiniteDriverRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNonFiniteMarketRejected: a NaN or infinite market speed or gas
+// price is refused — with ErrInvalidDriver, the sentinel New already
+// returns for a negative speed — instead of opening a service whose
+// every travel time or cost would be non-finite.
+func TestNonFiniteMarketRejected(t *testing.T) {
+	for _, v := range nonFinite {
+		for name, m := range map[string]Market{
+			"SpeedKmh": {SpeedKmh: v},
+			"GasPerKm": {GasPerKm: v},
+		} {
+			if _, err := New(m); !errors.Is(err, ErrInvalidDriver) {
+				t.Errorf("New(%s=%g) = %v, want ErrInvalidDriver", name, v, err)
+			}
+		}
+	}
+}
+
+// TestNonFiniteTimestampRejected: CancelTask, RetireDriver and a
+// retired driver's rejoin refuse a NaN or infinite time with a typed
+// error, in strict and lenient mode, in memory and journaled. Nothing
+// reaches the event queue or the journal: the books stay finite, and a
+// journaled day restores and settles exactly like the service that
+// refused them.
+func TestNonFiniteTimestampRejected(t *testing.T) {
+	cfg := trace.NewConfig(3, 20, 5, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	m := Market{}
+	for i, d := range tr.Drivers {
+		m.Drivers = append(m.Drivers, pubDriver(i, d, 0))
+	}
+	for _, durable := range []bool{false, true} {
+		for _, strict := range []bool{false, true} {
+			for _, v := range nonFinite {
+				t.Run(fmt.Sprintf("durable=%v/strict=%v/at=%g", durable, strict, v), func(t *testing.T) {
+					checkNonFiniteTimes(t, tr, m, durable, strict, v)
+				})
+			}
+		}
+	}
+}
+
+// checkNonFiniteTimes runs one TestNonFiniteTimestampRejected case: a
+// day over m whose cancel, retire and rejoin calls at time v must all be
+// refused.
+func checkNonFiniteTimes(t *testing.T, tr model.Trace, m Market, durable, strict bool, v float64) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	var opts []Option
+	if durable {
+		opts = append(opts, WithDurability(dir))
+	}
+	if strict {
+		opts = append(opts, WithStrictTimes())
+	}
+	svc, err := New(m, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(tr.Tasks)/2; i++ {
+		if _, err := svc.SubmitTask(ctx, pubTask(i, tr.Tasks[i])); err != nil {
+			t.Fatalf("SubmitTask(%d): %v", i, err)
+		}
+	}
+	if _, err := svc.CancelTask(ctx, 0, v); !errors.Is(err, ErrInvalidCancel) {
+		t.Fatalf("CancelTask(at=%g) = %v, want ErrInvalidCancel", v, err)
+	}
+	if err := svc.RetireDriver(ctx, 0, v); !errors.Is(err, ErrInvalidDriver) {
+		t.Fatalf("RetireDriver(at=%g) = %v, want ErrInvalidDriver", v, err)
+	}
+	now := tr.Tasks[len(tr.Tasks)/2-1].Publish
+	if err := svc.RetireDriver(ctx, 1, now); err != nil {
+		t.Fatalf("RetireDriver(1): %v", err)
+	}
+	rejoin := pubDriver(1, tr.Drivers[1], v)
+	if err := svc.AddDriver(ctx, rejoin); !errors.Is(err, ErrInvalidDriver) {
+		t.Fatalf("rejoin AddDriver(JoinAt=%g) = %v, want ErrInvalidDriver", v, err)
+	}
+	for i := len(tr.Tasks) / 2; i < len(tr.Tasks); i++ {
+		if _, err := svc.SubmitTask(ctx, pubTask(i, tr.Tasks[i])); err != nil {
+			t.Fatalf("SubmitTask(%d): %v", i, err)
+		}
+	}
+	want, err := svc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(want.Now) || math.IsInf(want.Now, 0) || math.IsNaN(want.Profit) {
+		t.Fatalf("books poisoned by a refused time: %+v", want)
+	}
+	if !durable {
+		return
+	}
+	restored, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("Restore after refused times: %v", err)
+	}
+	got, err := restored.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.FeedDrops, want.FeedDrops = 0, 0
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("restored day diverged\nwant %+v\ngot  %+v", want, got)
 	}
 }

@@ -1,9 +1,10 @@
 // Cityscale runs one online day at a fleet size the paper's evaluation
 // never reaches (its §VI sweep tops out at 300 drivers): ten thousand
 // drivers against a day of orders, dispatched through every candidate
-// source — the exact linear scan of Algorithms 3–4, the grid-indexed
-// pre-filter, and the zone-sharded engine — to show that indexing and
-// sharding change the wall-clock, never the market outcome. It then
+// source — the exact linear scan of Algorithms 3–4, the spatial-index
+// pre-filter (one zone shard), and the four-zone sharded engine — to
+// show that indexing and sharding change the wall-clock, never the
+// market outcome. It then
 // replays the same day under driver churn and rider cancellations (the
 // dynamics the paper's static fleet could not express) and finishes
 // with the parallel experiment sweep that regenerates Figs 6–9.
@@ -49,7 +50,7 @@ func main() {
 		label string
 		src   sim.CandidateSource
 	}{
-		{"grid-indexed", sim.NewGridSource(nil)},
+		{"sharded(1)", sim.NewShardedSource(1)},
 		{"sharded(4)", sim.NewShardedSource(4)},
 	} {
 		res := run(alt.label, alt.src)

@@ -232,8 +232,12 @@ func (m Market) Validate() error {
 	switch {
 	case m.Dist == nil:
 		return errors.New("market: nil distance function")
+	case !isFinite(m.SpeedKmh):
+		return fmt.Errorf("market: non-finite speed %g", m.SpeedKmh)
 	case m.SpeedKmh <= 0:
 		return fmt.Errorf("market: non-positive speed %.2f", m.SpeedKmh)
+	case !isFinite(m.GasPerKm):
+		return fmt.Errorf("market: non-finite gas cost %g", m.GasPerKm)
 	case m.GasPerKm < 0:
 		return fmt.Errorf("market: negative gas cost %.4f", m.GasPerKm)
 	}

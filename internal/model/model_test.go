@@ -109,20 +109,24 @@ func TestMarketValidate(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("default market invalid: %v", err)
 	}
-	bad := m
-	bad.Dist = nil
-	if err := bad.Validate(); err == nil {
-		t.Error("nil Dist accepted")
-	}
-	bad = m
-	bad.SpeedKmh = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero speed accepted")
-	}
-	bad = m
-	bad.GasPerKm = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative gas accepted")
+	for _, tc := range []struct {
+		name string
+		mut  func(*Market)
+	}{
+		{"nil Dist", func(m *Market) { m.Dist = nil }},
+		{"zero speed", func(m *Market) { m.SpeedKmh = 0 }},
+		{"NaN speed", func(m *Market) { m.SpeedKmh = math.NaN() }},
+		{"+Inf speed", func(m *Market) { m.SpeedKmh = math.Inf(1) }},
+		{"negative gas", func(m *Market) { m.GasPerKm = -1 }},
+		{"NaN gas", func(m *Market) { m.GasPerKm = math.NaN() }},
+		{"+Inf gas", func(m *Market) { m.GasPerKm = math.Inf(1) }},
+		{"-Inf gas", func(m *Market) { m.GasPerKm = math.Inf(-1) }},
+	} {
+		bad := m
+		tc.mut(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -66,7 +66,6 @@ func TestSurgePricingThroughFullSimRun(t *testing.T) {
 
 	scan := run(nil)
 	sources := map[string]sim.CandidateSource{
-		"grid":      sim.NewGridSource(nil),
 		"sharded-1": sim.NewShardedSource(1),
 		"sharded-4": sim.NewShardedSource(4),
 	}

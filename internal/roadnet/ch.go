@@ -12,8 +12,8 @@ import (
 // Dijkstra searches — forward from the source and backward from the
 // target, both only ever climbing toward higher-ranked nodes — that
 // meet at the highest node of some shortest path. The upward search
-// spaces are tiny compared to plain Dijkstra's, which is what replaces
-// the per-pair ALT A* in Router.nodeDist, and the structure batches
+// spaces are tiny compared to plain Dijkstra's, which is what makes
+// Router.nodeDist cheap, and the structure batches
 // naturally: one-to-many queries share one half of the search (the
 // shared endpoint's full upward cone doubles as the bucket array the
 // per-target searches scan), so an order's distances to all its
@@ -37,8 +37,7 @@ import (
 // original edge sequence and re-accumulate the edge weights in path
 // order, reproducing Dijkstra's float operations exactly (for unique
 // shortest paths, which the generators' jittered weights make the only
-// realistic case — the same assumption the ALT differential tests
-// already rely on). The CH weights only steer the search.
+// realistic case). The CH weights only steer the search.
 
 // chArc is one arc of the contracted graph: every original directed
 // edge plus every shortcut. Shortcuts remember the two arcs they

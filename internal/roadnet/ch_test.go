@@ -7,8 +7,8 @@ import (
 	"repro/internal/geo"
 )
 
-// chTestGraphs yields the same grid/radial spread the ALT bitwise test
-// sweeps, so the two kernels face identical terrain.
+// chTestGraphs yields a spread of generated cities: grids across seeds
+// and removal fractions, and a radial town.
 func chTestGraphs(t *testing.T, visit func(name string, g *Graph, cfg GridConfig)) {
 	t.Helper()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -29,10 +29,10 @@ func chTestGraphs(t *testing.T, visit func(name string, g *Graph, cfg GridConfig
 	visit("radial", g, DefaultGridConfig())
 }
 
-// TestCHBitwiseEqualsDijkstra is the CH counterpart of the ALT bitwise
-// wall: over random grids and a radial city, every Hierarchy.Query must
-// return exactly Dijkstra's float — not approximately, bitwise. This is
-// the property the whole dispatch-level ALT-vs-CH identity rests on.
+// TestCHBitwiseEqualsDijkstra is the routing kernel's bitwise wall:
+// over random grids and a radial city, every Hierarchy.Query must
+// return exactly Dijkstra's float — not approximately, bitwise. Every
+// dispatch-level network-metric identity rests on it.
 func TestCHBitwiseEqualsDijkstra(t *testing.T) {
 	pairs := 0
 	chTestGraphs(t, func(name string, g *Graph, _ GridConfig) {
@@ -211,9 +211,10 @@ func routerTestPoints(box geo.BoundingBox, n int, salt int64) []geo.Point {
 }
 
 // TestDistManyMatchesLoopedDist pins the one-to-many contract: both
-// batch shapes must be bitwise equal to their per-pair loops, on both
-// kernels, including repeated targets (cache path) and the shared
-// endpoint itself.
+// batch shapes must be bitwise equal to their per-pair loops and to the
+// Dijkstra-composed distance, with and without the hub-label tier,
+// including repeated targets (cache path) and the shared endpoint
+// itself.
 func TestDistManyMatchesLoopedDist(t *testing.T) {
 	cfg := DefaultGridConfig()
 	cfg.Rows, cfg.Cols = 12, 14
@@ -221,12 +222,8 @@ func TestDistManyMatchesLoopedDist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"ch", "ch-nolabels", "alt"} {
-		algo := AlgoCH
-		if mode == "alt" {
-			algo = AlgoALT
-		}
-		r := NewRouterAlgo(g, cfg.Box, 8, algo)
+	for _, mode := range []string{"ch", "ch-nolabels"} {
+		r := NewRouter(g, cfg.Box, 8)
 		if mode == "ch-nolabels" {
 			// Strip the hub-label tier so the batch path runs the
 			// large-graph search kernels end to end through the Router.
@@ -243,11 +240,17 @@ func TestDistManyMatchesLoopedDist(t *testing.T) {
 			if want := r.Dist(origin, p); got[i] != want {
 				t.Fatalf("%s: DistMany[%d] = %v, Dist = %v", mode, i, got[i], want)
 			}
+			if want := dijkstraDist(g, origin, p); got[i] != want {
+				t.Fatalf("%s: DistMany[%d] = %v, Dijkstra = %v", mode, i, got[i], want)
+			}
 		}
 		gotTo := r.DistManyTo(pts, origin)
 		for i, p := range pts {
 			if want := r.Dist(p, origin); gotTo[i] != want {
 				t.Fatalf("%s: DistManyTo[%d] = %v, Dist = %v", mode, i, gotTo[i], want)
+			}
+			if want := dijkstraDist(g, p, origin); gotTo[i] != want {
+				t.Fatalf("%s: DistManyTo[%d] = %v, Dijkstra = %v", mode, i, gotTo[i], want)
 			}
 		}
 	}
@@ -284,18 +287,17 @@ func TestDistManyCacheAccounting(t *testing.T) {
 	}
 }
 
-// TestRouterAlgoBitwiseIdentity runs ALT and CH routers over the same
-// graph and point scatter: every Dist must agree bitwise.
+// TestRouterAlgoBitwiseIdentity runs the router built through
+// NewRouterAlgo over every test city and a point scatter: each Dist
+// must equal the Dijkstra-composed distance bitwise.
 func TestRouterAlgoBitwiseIdentity(t *testing.T) {
 	chTestGraphs(t, func(name string, g *Graph, cfg GridConfig) {
-		alt := NewRouterAlgo(g, cfg.Box, 8, AlgoALT)
-		ch := NewRouterAlgo(g, cfg.Box, 8, AlgoCH)
+		r := NewRouterAlgo(g, cfg.Box, 8, AlgoCH)
 		pts := routerTestPoints(cfg.Box, 20, 5)
 		for i, a := range pts {
 			for j, b := range pts {
-				da, dc := alt.Dist(a, b), ch.Dist(a, b)
-				if da != dc {
-					t.Fatalf("%s: Dist(%d,%d): alt %v != ch %v", name, i, j, da, dc)
+				if got, want := r.Dist(a, b), dijkstraDist(g, a, b); got != want {
+					t.Fatalf("%s: Dist(%d,%d) = %v, Dijkstra %v", name, i, j, got, want)
 				}
 			}
 		}

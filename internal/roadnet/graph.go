@@ -3,7 +3,7 @@
 // trip trajectories; straight-line distance understates urban driving
 // distance by the network's circuity (~1.2–1.4× in practice). This
 // package supplies weighted road graphs, shortest-path routing
-// (Dijkstra and A*), synthetic city-network generators, and a cached
+// (Dijkstra and contraction hierarchies), synthetic city-network generators, and a cached
 // Router that plugs into model.Market.Dist so every cost and travel-time
 // estimate in the framework can be network-accurate instead of
 // crow-fly.
@@ -96,23 +96,9 @@ func (q *pq) Pop() interface{} {
 
 // ShortestPath runs Dijkstra from src to dst and returns the distance
 // in kilometers and the node sequence. It returns +Inf and nil when dst
-// is unreachable.
+// is unreachable. It is the reference every routing kernel is tested
+// against.
 func (g *Graph) ShortestPath(src, dst int) (float64, []int) {
-	return g.route(src, dst, nil)
-}
-
-// AStar runs A* with the straight-line-distance heuristic (admissible
-// whenever edge lengths are ≥ straight-line, which AddRoad guarantees
-// for factor ≥ 1). Results equal ShortestPath; it just explores less.
-func (g *Graph) AStar(src, dst int) (float64, []int) {
-	target := g.pts[dst]
-	return g.route(src, dst, func(n int32) float64 {
-		return geo.Equirectangular(g.pts[n], target)
-	})
-}
-
-// route is the shared Dijkstra/A* core; h == nil means Dijkstra.
-func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 	if src < 0 || src >= len(g.pts) || dst < 0 || dst >= len(g.pts) {
 		panic(fmt.Sprintf("roadnet: route (%d,%d) out of range [0,%d)", src, dst, len(g.pts)))
 	}
@@ -127,9 +113,6 @@ func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 	dist[src] = 0
 
 	q := pq{{node: int32(src)}}
-	if h != nil {
-		q[0].dist = h(int32(src))
-	}
 	for q.Len() > 0 {
 		it := heap.Pop(&q).(pqItem)
 		u := it.node
@@ -144,15 +127,10 @@ func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 			if done[e.to] {
 				continue
 			}
-			nd := dist[u] + e.km
-			if nd < dist[e.to] {
+			if nd := dist[u] + e.km; nd < dist[e.to] {
 				dist[e.to] = nd
 				prev[e.to] = u
-				key := nd
-				if h != nil {
-					key += h(e.to)
-				}
-				heap.Push(&q, pqItem{node: e.to, dist: key})
+				heap.Push(&q, pqItem{node: e.to, dist: nd})
 			}
 		}
 	}
@@ -168,38 +146,6 @@ func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 		path[i], path[j] = path[j], path[i]
 	}
 	return dist[dst], path
-}
-
-// DistancesFrom runs a full single-source Dijkstra and returns the
-// distance to every node (+Inf where unreachable). Used to build
-// distance matrices and by the connectivity checks.
-func (g *Graph) DistancesFrom(src int) []float64 {
-	if src < 0 || src >= len(g.pts) {
-		panic(fmt.Sprintf("roadnet: source %d out of range [0,%d)", src, len(g.pts)))
-	}
-	n := len(g.pts)
-	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	q := pq{{node: int32(src)}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, e := range g.adj[u] {
-			if nd := dist[u] + e.km; nd < dist[e.to] {
-				dist[e.to] = nd
-				heap.Push(&q, pqItem{node: e.to, dist: nd})
-			}
-		}
-	}
-	return dist
 }
 
 // StronglyConnected reports whether every node reaches every other.

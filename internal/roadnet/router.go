@@ -9,33 +9,16 @@ import (
 	"repro/internal/geo"
 )
 
-// Algorithm selects the Router's point-to-point routing kernel. Both
-// kernels return bitwise-identical distances (the differential tests
-// enforce it), so the choice is purely a speed/preprocessing trade.
+// Algorithm names a routing kernel. Contraction hierarchies are the
+// only one; the type remains so NewRouterAlgo keeps its signature.
 type Algorithm int
 
-const (
-	// AlgoCH routes over a contraction hierarchy: heavier
-	// preprocessing, much faster queries, and one-to-many batching
-	// (DistMany). The default.
-	AlgoCH Algorithm = iota
-	// AlgoALT routes with landmark-accelerated A*: light
-	// preprocessing, per-pair queries only.
-	AlgoALT
-)
-
-// String implements fmt.Stringer for bench/CLI labels.
-func (a Algorithm) String() string {
-	if a == AlgoALT {
-		return "alt"
-	}
-	return "ch"
-}
+// AlgoCH routes over a contraction hierarchy.
+const AlgoCH Algorithm = 0
 
 // Router adapts a road graph to the framework's geo.DistanceFunc
 // contract: Dist(a, b) snaps both points to their nearest intersections,
-// routes between them with the configured kernel (contraction-hierarchy
-// query by default, landmark-accelerated A* for AlgoALT), and adds the
+// routes between them with a contraction-hierarchy query, and adds the
 // straight-line access legs. Route results are memoized in a bounded,
 // sharded cache with per-key inflight de-duplication, so the O(M²)
 // task-map construction and 50k-driver dispatch days pay each route
@@ -50,10 +33,8 @@ func (a Algorithm) String() string {
 //
 // Router is safe for concurrent use.
 type Router struct {
-	g    *Graph
-	algo Algorithm
-	lm   *Landmarks // ALT kernel state (nil under AlgoCH)
-	ch   *Hierarchy // CH kernel state (nil under AlgoALT)
+	g  *Graph
+	ch *Hierarchy
 
 	// snap index: grid buckets of node ids, and per-cell covers (see
 	// buildCovers): cell c's cover is covers[coverOff[c]:coverOff[c+1]],
@@ -81,12 +62,6 @@ const (
 	// default 20×24 grid), so the default never evicts there while
 	// still capping memory (~48 MiB of entries) on huge graphs.
 	DefaultCacheEntries = 1 << 20
-
-	// defaultLandmarks is the number of ALT landmarks precomputed by
-	// NewRouter. Eight well-spread landmarks are the classic
-	// sweet spot: ~16 Dijkstra sweeps of preprocessing for a heuristic
-	// that already prices in circuity.
-	defaultLandmarks = 8
 )
 
 // routeShard is one lock-striped slice of the route cache.
@@ -110,19 +85,12 @@ type routeCall struct {
 // holds up to DefaultCacheEntries routes; tune with SetCacheBound
 // before use.
 func NewRouter(g *Graph, box geo.BoundingBox, s int) *Router {
-	return NewRouterAlgo(g, box, s, AlgoCH)
-}
-
-// NewRouterAlgo is NewRouter with an explicit routing kernel: AlgoCH
-// preprocesses a contraction hierarchy, AlgoALT precomputes ALT
-// landmarks. Both yield bitwise-identical distances.
-func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router {
 	if s < 1 {
 		s = max(1, int(math.Ceil(math.Sqrt(float64(g.NumNodes())))))
 	}
 	r := &Router{
 		g:    g,
-		algo: algo,
+		ch:   BuildHierarchy(g),
 		grid: geo.NewGrid(box, s, s),
 	}
 	r.maxPerShard = ceilDiv(DefaultCacheEntries, routeCacheShards)
@@ -134,16 +102,15 @@ func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router
 		r.buckets[c] = append(r.buckets[c], int32(id))
 	}
 	r.buildCovers()
-	if algo == AlgoALT {
-		r.lm = NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
-	} else {
-		r.ch = BuildHierarchy(g)
-	}
 	return r
 }
 
-// Algo reports which routing kernel the router was built with.
-func (r *Router) Algo() Algorithm { return r.algo }
+// NewRouterAlgo is NewRouter. It is kept, with the single-value
+// Algorithm type, because the benchmark module's traced run builds its
+// router through it.
+func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, _ Algorithm) *Router {
+	return NewRouter(g, box, s)
+}
 
 // SetCacheBound caps the route cache at roughly maxEntries memoized
 // node pairs (rounded up to a multiple of the shard count; at least one
@@ -367,17 +334,9 @@ func (r *Router) nodeDist(u, v int32) float64 {
 	return r.nodeDistVia(u, v, nil)
 }
 
-// routeNodes is the router's default point-to-point kernel.
-func (r *Router) routeNodes(u, v int32) float64 {
-	if r.ch != nil {
-		return r.ch.Query(int(u), int(v))
-	}
-	d, _ := r.g.AStarALT(r.lm, int(u), int(v))
-	return d
-}
-
 // nodeDistVia is nodeDist with a pluggable kernel: when compute is
-// non-nil it replaces routeNodes for this key's (single) computation.
+// non-nil it replaces the point-to-point CH query for this key's
+// (single) computation.
 // The batched one-to-many queries pass a closure that probes a shared
 // half-search, so batch lookups keep the exact cache semantics — and
 // hit/miss accounting — of looped per-pair lookups.
@@ -407,7 +366,7 @@ func (r *Router) nodeDistVia(u, v int32, compute func() float64) float64 {
 	if compute != nil {
 		c.d = compute()
 	} else {
-		c.d = r.routeNodes(u, v)
+		c.d = r.ch.Query(int(u), int(v))
 	}
 	close(c.done)
 
@@ -460,13 +419,12 @@ func (r *Router) CacheStats() (hits, misses, evictions uint64) {
 }
 
 // DistMany returns the network distances from origin to every target:
-// element i is bitwise equal to Dist(origin, targets[i]). Under AlgoCH
-// the whole batch shares one forward upward search (origin's side) and
-// pays only a small bucket-probing backward search per target, so it
-// beats looped Dist once a handful of targets share the origin; under
-// AlgoALT it degrades to the loop. Cache semantics are identical to
-// looped Dist: each pair is looked up, coalesced, counted, and stored
-// exactly as a Dist call would.
+// element i is bitwise equal to Dist(origin, targets[i]). The whole
+// batch shares one forward upward search (origin's side) and pays only
+// a small bucket-probing backward search per target, so it beats
+// looped Dist once a handful of targets share the origin. Cache
+// semantics are identical to looped Dist: each pair is looked up,
+// coalesced, counted, and stored exactly as a Dist call would.
 func (r *Router) DistMany(origin geo.Point, targets []geo.Point) []float64 {
 	out := make([]float64, len(targets))
 	r.DistManyInto(origin, targets, out)
@@ -480,7 +438,7 @@ func (r *Router) DistManyInto(origin geo.Point, targets []geo.Point, out []float
 		panic("roadnet: DistManyInto out buffer too small")
 	}
 	u := r.NearestNode(origin)
-	if u < 0 || r.ch == nil {
+	if u < 0 {
 		for i, b := range targets {
 			out[i] = r.Dist(origin, b)
 		}
@@ -530,7 +488,7 @@ func (r *Router) DistManyToInto(sources []geo.Point, dest geo.Point, out []float
 		return
 	}
 	v := r.NearestNode(dest)
-	if v < 0 || r.ch == nil {
+	if v < 0 {
 		for i, a := range sources {
 			out[i] = r.Dist(a, dest)
 		}

@@ -298,7 +298,24 @@ func TestRouterDistDominatesCrowFly(t *testing.T) {
 	}
 }
 
-// TestRouterDistMatchesUnchachedRoute checks the whole snap+cache+ALT
+// dijkstraDist is Router.Dist recomputed from scratch: brute-force
+// snapping, Dijkstra between the snapped nodes, the access legs, and
+// the crow-fly floor.
+func dijkstraDist(g *Graph, a, b geo.Point) float64 {
+	u, _ := bruteNearest(g, a)
+	v, _ := bruteNearest(g, b)
+	d := geo.Equirectangular(a, g.Point(u)) + geo.Equirectangular(b, g.Point(v))
+	if u != v {
+		km, _ := g.ShortestPath(u, v)
+		d += km
+	}
+	if crow := geo.Equirectangular(a, b); crow > d {
+		d = crow
+	}
+	return d
+}
+
+// TestRouterDistMatchesUnchachedRoute checks the whole snap+cache+CH
 // pipeline against a from-scratch computation.
 func TestRouterDistMatchesUnchachedRoute(t *testing.T) {
 	cfg := DefaultGridConfig()
@@ -312,106 +329,9 @@ func TestRouterDistMatchesUnchachedRoute(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a := cfg.Box.Lerp(rng.Float64(), rng.Float64())
 		b := cfg.Box.Lerp(rng.Float64(), rng.Float64())
-		u, _ := bruteNearest(g, a)
-		v, _ := bruteNearest(g, b)
-		want := geo.Equirectangular(a, g.Point(u)) + geo.Equirectangular(b, g.Point(v))
-		if u != v {
-			d, _ := g.ShortestPath(u, v)
-			want += d
-		}
-		if crow := geo.Equirectangular(a, b); crow > want {
-			want = crow
-		}
-		if got := r.Dist(a, b); got != want {
+		if got, want := r.Dist(a, b), dijkstraDist(g, a, b); got != want {
 			t.Fatalf("Dist(%v, %v) = %v, want %v", a, b, got, want)
 		}
-	}
-}
-
-// TestAStarBitwiseEqualsDijkstra is the property wall for the routing
-// kernels: on generated cities (grids across seeds, and a radial town),
-// plain A* and landmark A* both return bitwise-identical distances to
-// Dijkstra.
-func TestAStarBitwiseEqualsDijkstra(t *testing.T) {
-	check := func(t *testing.T, g *Graph) {
-		t.Helper()
-		lm := NewLandmarks(g, g.SelectLandmarks(8))
-		n := g.NumNodes()
-		for u := 0; u < n; u += 3 {
-			for v := 0; v < n; v += 5 {
-				d0, _ := g.ShortestPath(u, v)
-				d1, _ := g.AStar(u, v)
-				d2, _ := g.AStarALT(lm, u, v)
-				if d0 != d1 {
-					t.Fatalf("AStar(%d,%d) = %v, Dijkstra = %v", u, v, d1, d0)
-				}
-				if d0 != d2 {
-					t.Fatalf("AStarALT(%d,%d) = %v, Dijkstra = %v", u, v, d2, d0)
-				}
-			}
-		}
-	}
-	for seed := int64(1); seed <= 6; seed++ {
-		cfg := DefaultGridConfig()
-		cfg.Seed = seed
-		cfg.Rows, cfg.Cols = 12, 14
-		cfg.RemoveFrac = 0.05 * float64(seed%4)
-		g, err := GenerateGrid(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, g)
-	}
-	g, err := GenerateRadial(geo.PortoBox.Center(), 5, 9, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, g)
-}
-
-// TestLandmarkLowerBoundAdmissible: the ALT bound never exceeds the
-// true shortest-path distance (up to float rounding of the Dijkstra
-// sums themselves).
-func TestLandmarkLowerBoundAdmissible(t *testing.T) {
-	cfg := DefaultGridConfig()
-	cfg.Rows, cfg.Cols = 10, 12
-	g, err := GenerateGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := NewLandmarks(g, g.SelectLandmarks(6))
-	if lm.NumLandmarks() != 6 {
-		t.Fatalf("NumLandmarks = %d, want 6", lm.NumLandmarks())
-	}
-	n := g.NumNodes()
-	for u := 0; u < n; u += 2 {
-		for v := 0; v < n; v += 3 {
-			d, _ := g.ShortestPath(u, v)
-			if b := lm.LowerBound(u, v); b > d*(1+1e-12)+1e-12 {
-				t.Fatalf("LowerBound(%d,%d) = %v exceeds true distance %v", u, v, b, d)
-			}
-		}
-	}
-}
-
-func TestSelectLandmarksClampsAndDedups(t *testing.T) {
-	g, err := GenerateRadial(geo.PortoBox.Center(), 2, 4, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := g.SelectLandmarks(1000)
-	if len(ids) > g.NumNodes() {
-		t.Fatalf("SelectLandmarks returned %d ids for %d nodes", len(ids), g.NumNodes())
-	}
-	seen := map[int]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("landmark %d selected twice", id)
-		}
-		seen[id] = true
-	}
-	if got := g.SelectLandmarks(0); got != nil {
-		t.Fatalf("SelectLandmarks(0) = %v, want nil", got)
 	}
 }
 
@@ -447,7 +367,7 @@ func TestRouterCacheSingleflight(t *testing.T) {
 	}
 	_, misses, _ := r.CacheStats()
 	if misses != 1 {
-		t.Fatalf("misses = %d, want 1: concurrent misses on one key must run a single A*", misses)
+		t.Fatalf("misses = %d, want 1: concurrent misses on one key must run a single route computation", misses)
 	}
 }
 
@@ -627,27 +547,15 @@ func BenchmarkRouterDistCached(b *testing.B) {
 	}
 }
 
-func benchmarkAStarPairs(b *testing.B, alt bool) {
+// BenchmarkDijkstraPairs times the reference kernel on the pairs
+// BenchmarkCHQuery uses.
+func BenchmarkDijkstraPairs(b *testing.B) {
 	g, _ := benchGraph(b)
-	var lm *Landmarks
-	if alt {
-		lm = NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
-	}
 	n := g.NumNodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := (i * 7919) % n
 		v := (i*104729 + 13) % n
-		if u == v {
-			v = (v + 1) % n
-		}
-		if alt {
-			g.AStarALT(lm, u, v)
-		} else {
-			g.AStar(u, v)
-		}
+		g.ShortestPath(u, v)
 	}
 }
-
-func BenchmarkAStarStraightLine(b *testing.B) { benchmarkAStarPairs(b, false) }
-func BenchmarkAStarLandmarks(b *testing.B)    { benchmarkAStarPairs(b, true) }

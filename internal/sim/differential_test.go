@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -63,38 +62,19 @@ func (diffRandom) Choose(_ model.Task, cands []Candidate, rng *rand.Rand) int {
 }
 
 // These differential tests are the correctness contract of the spatial
-// candidate index: on randomized markets — varying grid granularity,
+// candidate index: on randomized markets — varying shard counts,
 // driver counts, working models and both availability modes — the
-// grid-indexed engine must produce the *identical* Result (serve counts,
+// indexed engine must produce the *identical* Result (serve counts,
 // revenue, every per-driver assignment sequence, bit-for-bit floats) as
 // the linear-scan engine, for every Run* entry point. The pre-filter may
 // only ever shrink the work, never the candidate set.
-
-// runPair runs the same simulation on a scan engine and a grid engine
-// built from identical inputs and returns both results.
-func runPair(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64,
-	realTime bool, grid *geo.Grid, run func(e *Engine) Result) (scan, indexed Result) {
-	t.Helper()
-	se, err := New(mkt, drivers, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se.RealTime = realTime
-	ge, err := New(mkt, drivers, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge.RealTime = realTime
-	ge.SetCandidateSource(NewGridSource(grid))
-	return run(se), run(ge)
-}
 
 func diffResults(t *testing.T, label string, scan, indexed Result) {
 	t.Helper()
 	if reflect.DeepEqual(scan, indexed) {
 		return
 	}
-	t.Errorf("%s: grid-indexed result diverges from linear scan", label)
+	t.Errorf("%s: indexed result diverges from linear scan", label)
 	if scan.Served != indexed.Served || scan.Rejected != indexed.Rejected {
 		t.Errorf("%s: served/rejected %d/%d vs %d/%d",
 			label, scan.Served, scan.Rejected, indexed.Served, indexed.Rejected)
@@ -113,88 +93,6 @@ func diffResults(t *testing.T, label string, scan, indexed Result) {
 		if _, ok := scan.Assignment[ti]; !ok {
 			t.Errorf("%s: task %d served only by the indexed engine", label, ti)
 		}
-	}
-}
-
-// TestGridSourceMatchesScan sweeps randomized markets and asserts
-// identical results for instant dispatch under both heuristics.
-func TestGridSourceMatchesScan(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	if testing.Short() {
-		seeds = seeds[:3]
-	}
-	grids := map[string]func() *geo.Grid{
-		"auto":   func() *geo.Grid { return nil },
-		"coarse": func() *geo.Grid { return geo.NewGrid(geo.PortoBox, 2, 3) },
-		"fine":   func() *geo.Grid { return geo.NewGrid(geo.PortoBox, 48, 48) },
-	}
-	dispatchers := []Dispatcher{diffMaxMargin{}, diffNearest{}, diffRandom{}}
-
-	for _, seed := range seeds {
-		for _, nDrivers := range []int{3, 25, 120} {
-			for _, dm := range []trace.DriverModel{trace.Hitchhiking, trace.HomeWorkHome} {
-				cfg := trace.NewConfig(seed, 150, nDrivers, dm)
-				tr := trace.NewGenerator(cfg).Generate(nil)
-				for _, realTime := range []bool{false, true} {
-					for gname, mk := range grids {
-						for _, d := range dispatchers {
-							label := fmt.Sprintf("seed=%d n=%d model=%v rt=%v grid=%s disp=%s",
-								seed, nDrivers, dm, realTime, gname, d.Name())
-							scan, indexed := runPair(t, cfg.Market, tr.Drivers, seed, realTime, mk(),
-								func(e *Engine) Result { return e.Run(tr.Tasks, d) })
-							diffResults(t, label, scan, indexed)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestGridSourceMatchesScanByValueAndBatched covers the remaining entry
-// points: descending-price processing and batched matching (whose
-// candidate queries happen at the batch close, after the publish time).
-func TestGridSourceMatchesScanByValueAndBatched(t *testing.T) {
-	seeds := []int64{11, 12, 13, 14}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	for _, seed := range seeds {
-		cfg := trace.NewConfig(seed, 120, 40, trace.Hitchhiking)
-		cfg.PickupWindowMin = 8 * 60 // give batches room to form
-		cfg.PickupWindowMax = 16 * 60
-		tr := trace.NewGenerator(cfg).Generate(nil)
-
-		scan, indexed := runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
-			func(e *Engine) Result { return e.RunByValue(tr.Tasks, diffMaxMargin{}) })
-		diffResults(t, fmt.Sprintf("seed=%d by-value", seed), scan, indexed)
-
-		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
-			scan, indexed = runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
-				func(e *Engine) Result { return e.RunBatched(tr.Tasks, 30, algo) })
-			diffResults(t, fmt.Sprintf("seed=%d %v", seed, algo), scan, indexed)
-		}
-	}
-}
-
-// TestGridSourceMatchesScanWithSpeedOverrides exercises fleets with
-// per-driver speeds: the reachability radius must follow the fastest
-// driver, not the market default.
-func TestGridSourceMatchesScanWithSpeedOverrides(t *testing.T) {
-	for _, seed := range []int64{21, 22, 23} {
-		cfg := trace.NewConfig(seed, 120, 60, trace.Hitchhiking)
-		tr := trace.NewGenerator(cfg).Generate(nil)
-		for i := range tr.Drivers {
-			switch i % 3 {
-			case 0:
-				tr.Drivers[i].SpeedKmh = 55 // faster than the 30 km/h market
-			case 1:
-				tr.Drivers[i].SpeedKmh = 18
-			}
-		}
-		scan, indexed := runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
-			func(e *Engine) Result { return e.Run(tr.Tasks, diffMaxMargin{}) })
-		diffResults(t, fmt.Sprintf("seed=%d speed-overrides", seed), scan, indexed)
 	}
 }
 
@@ -314,8 +212,6 @@ func TestShardedScenarioMatchesScan(t *testing.T) {
 		}
 		for name, run := range runs {
 			scan := runWithSource(t, cfg.Market, tr.Drivers, seed, false, nil, run)
-			grid := runWithSource(t, cfg.Market, tr.Drivers, seed, false, NewGridSource(nil), run)
-			diffResults(t, fmt.Sprintf("seed=%d scenario=%s grid", seed, name), scan, grid)
 			for _, shards := range shardCounts {
 				sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false,
 					NewShardedSource(shards), run)
@@ -329,9 +225,9 @@ func TestShardedScenarioMatchesScan(t *testing.T) {
 	}
 }
 
-// TestShardedSourceSpeedOverridesAndSerial: per-driver speeds stretch
-// the reachability radius past zone borders (candidate borrowing), and
-// the Serial ablation knob must not change results either.
+// TestShardedSourceSpeedOverrides: per-driver speeds stretch the
+// reachability radius past zone borders (candidate borrowing), and the
+// radius must follow the fastest driver, not the market default.
 func TestShardedSourceSpeedOverrides(t *testing.T) {
 	for _, seed := range []int64{61, 62} {
 		cfg := trace.NewConfig(seed, 120, 60, trace.Hitchhiking)
@@ -347,33 +243,10 @@ func TestShardedSourceSpeedOverrides(t *testing.T) {
 		run := func(e *Engine) Result { return e.Run(tr.Tasks, diffMaxMargin{}) }
 		scan := runWithSource(t, cfg.Market, tr.Drivers, seed, false, nil, run)
 		for _, shards := range shardCounts {
-			for _, serial := range []bool{false, true} {
-				src := NewShardedSource(shards)
-				src.Serial = serial
-				sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false, src, run)
-				diffResults(t, fmt.Sprintf("seed=%d speed-overrides shards=%d serial=%v", seed, shards, serial), scan, sharded)
-			}
+			sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false, NewShardedSource(shards), run)
+			diffResults(t, fmt.Sprintf("seed=%d speed-overrides shards=%d", seed, shards), scan, sharded)
 		}
 	}
-}
-
-// TestGridSourcePanicsOnFarGrid: a static grid whose latitude band is
-// nowhere near the fleet would silently void the conservative
-// pre-filtering guarantee; Bind must reject it loudly instead.
-func TestGridSourcePanicsOnFarGrid(t *testing.T) {
-	cfg := trace.NewConfig(41, 10, 5, trace.Hitchhiking)
-	tr := trace.NewGenerator(cfg).Generate(nil)
-	e, err := New(cfg.Market, tr.Drivers, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equatorial := geo.NewGrid(geo.BoundingBox{MinLat: -1, MinLon: -8.7, MaxLat: 1, MaxLon: -8.5}, 8, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("binding an equatorial grid to a Porto fleet did not panic")
-		}
-	}()
-	e.SetCandidateSource(NewGridSource(equatorial))
 }
 
 // TestSetCandidateSourceNilRestoresScan guards the seam's default.
@@ -384,7 +257,7 @@ func TestSetCandidateSourceNilRestoresScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetCandidateSource(NewGridSource(nil))
+	e.SetCandidateSource(NewShardedSource(1))
 	e.SetCandidateSource(nil)
 	if _, ok := e.source.(*ScanSource); !ok {
 		t.Fatalf("source after SetCandidateSource(nil) is %T, want *ScanSource", e.source)

@@ -25,7 +25,7 @@ const minDistBatch = 8
 
 // distBatch is one scoring pass's scratch. Each caller that may score
 // concurrently owns one (the engine for the linear scan, each
-// GridSource, each ShardedSource zone).
+// ShardedSource zone).
 type distBatch struct {
 	ids   []int       // surviving driver indices
 	pts   []geo.Point // batch endpoints (locations, then home dests)

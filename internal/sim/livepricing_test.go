@@ -153,7 +153,6 @@ func TestLiveSurgeDifferential(t *testing.T) {
 			name: "sharded", src: func() CandidateSource { return NewShardedSource(n) }, workers: n,
 		})
 	}
-	variants = append(variants, variant{"grid", func() CandidateSource { return NewGridSource(nil) }, 2})
 
 	run := func(v variant, batched bool) Result {
 		eng, err := New(cfg.Market, tr.Drivers, 1)

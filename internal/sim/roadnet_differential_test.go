@@ -2,18 +2,51 @@ package sim
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/roadnet"
 	"repro/internal/trace"
 )
 
+// dijkstraMetric is the router's Dist recomputed through the Dijkstra
+// reference: the router's snapping, Graph.ShortestPath between the
+// snapped nodes (memoized per node pair), the access legs and the
+// crow-fly floor, in Dist's float operation order.
+func dijkstraMetric(g *roadnet.Graph, r *roadnet.Router) geo.DistanceFunc {
+	var mu sync.Mutex
+	memo := make(map[[2]int]float64)
+	return func(a, b geo.Point) float64 {
+		crow := geo.Equirectangular(a, b)
+		u, v := r.NearestNode(a), r.NearestNode(b)
+		d := geo.Equirectangular(a, g.Point(u)) + geo.Equirectangular(b, g.Point(v))
+		if u != v {
+			mu.Lock()
+			km, ok := memo[[2]int{u, v}]
+			mu.Unlock()
+			if !ok {
+				km, _ = g.ShortestPath(u, v)
+				mu.Lock()
+				memo[[2]int{u, v}] = km
+				mu.Unlock()
+			}
+			d += km
+		}
+		if crow > d {
+			d = crow
+		}
+		return d
+	}
+}
+
 // TestRoadNetworkMetricDifferential is the network-metric property
 // wall: with Market.Dist swapped from crow-fly to the roadnet router,
-// an engine day must stay bit-identical across ScanSource, GridSource
-// and ShardedSource × shards {1,2,4} × match workers {1,2,4} × routing
-// kernel (CH vs ALT) × batched distance hook (installed vs absent),
-// under churn and cancellations, for both instant and batched dispatch.
+// an engine day must stay bit-identical across ScanSource and
+// ShardedSource × shards {1,2,4} × match workers {1,2,4} × distance
+// (the CH router vs the Dijkstra reference) × batched distance hook
+// (installed vs absent), under churn and cancellations, for both
+// instant and batched dispatch.
 // The router's shared cache is exercised concurrently by the match
 // workers, so this doubles as a determinism check on the singleflight
 // path; the batch-hook dimension pins the one-to-many scoring path to
@@ -26,7 +59,7 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	chRouter := roadnet.NewRouter(g, rcfg.Box, 8)
-	altRouter := roadnet.NewRouterAlgo(g, rcfg.Box, 8, roadnet.AlgoALT)
+	dijkstra := dijkstraMetric(g, chRouter)
 
 	// Generate the trace under the network metric so deadlines and
 	// prices are feasible for the distances the engine will see.
@@ -38,19 +71,17 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 	})
 
 	type variant struct {
-		name    string
-		src     func() CandidateSource
-		shards  int
-		workers int
-		alt     bool // route with the ALT kernel instead of CH
-		batch   bool // install the one-to-many scoring hook
+		name     string
+		src      func() CandidateSource
+		shards   int
+		workers  int
+		dijkstra bool // measure with the Dijkstra reference instead of the router
+		batch    bool // install the one-to-many scoring hook
 	}
 	var variants []variant
 	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 0, 1, false, false})
 	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 0, 1, false, true})
 	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 0, 1, true, false})
-	variants = append(variants, variant{"grid", func() CandidateSource { return NewGridSource(nil) }, 0, 2, false, true})
-	variants = append(variants, variant{"grid", func() CandidateSource { return NewGridSource(nil) }, 0, 2, true, false})
 	for _, s := range []int{1, 2, 4} {
 		for _, w := range []int{1, 2, 4} {
 			s, w := s, w
@@ -65,13 +96,12 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 
 	run := func(v variant, batched bool) Result {
 		market := cfg.Market
-		router := chRouter
-		if v.alt {
-			router = altRouter
+		market.Dist = chRouter.Dist
+		if v.dijkstra {
+			market.Dist = dijkstra
 		}
-		market.Dist = router.Dist
 		if v.batch {
-			market.Batch = router
+			market.Batch = chRouter
 		}
 		eng, err := New(market, tr.Drivers, 1)
 		if err != nil {
@@ -92,8 +122,8 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		}
 		for _, v := range variants[1:] {
 			if got := run(v, batched); !reflect.DeepEqual(want, got) {
-				t.Errorf("batched=%v: %s(shards=%d,workers=%d,alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
-					batched, v.name, v.shards, v.workers, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
+				t.Errorf("batched=%v: %s(shards=%d,workers=%d,dijkstra=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
+					batched, v.name, v.shards, v.workers, v.dijkstra, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
 			}
 		}
 	}

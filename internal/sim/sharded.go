@@ -25,34 +25,25 @@ import (
 // of Algorithms 3–4 are pure per-driver functions of engine state, so
 // it does not matter which goroutine evaluates them); and the merged
 // slice is restored to the canonical ascending-driver order before the
-// dispatcher sees it. The result is bit-identical to ScanSource and
-// GridSource for every shard count — the differential tests sweep
-// shard counts 1, 2, 4 and 8 to prove exactly that. Concurrency here
+// dispatcher sees it. The result is bit-identical to ScanSource for
+// every shard count — the differential tests sweep shard counts 1, 2,
+// 4 and 8 to prove exactly that. One shard is the plain grid-indexed
+// source: a single spatial index over the fleet. Concurrency here
 // parallelizes candidate *generation* per arrival; commits stay
 // sequential in event order, which is what keeps the simulation
 // reproducible.
 //
 // Drivers migrate between shards as assignments move them (Moved), and
 // enter or leave shards on mid-day joins and retirements (Presence) —
-// a retired driver costs her shard nothing, unlike the dense
-// GridSource where she still occupies a bucket. Pickups near a zone
+// a retired driver costs her shard nothing. Pickups near a zone
 // border borrow candidates from every zone the radius touches, so
 // shard boundaries never change who gets picked, only where the
 // lookup happens.
 type ShardedSource struct {
 	// Shards is the requested zone count; values below 1 are treated
-	// as 1. The zone grid is dimensioned close to square (8 → 2×4).
+	// as 1. The zone grid spans the fleet's bounding box and is
+	// dimensioned close to square (8 → 2×4).
 	Shards int
-
-	// Zones optionally fixes the zone decomposition; its cell count
-	// overrides Shards. Nil auto-sizes a grid over the fleet's
-	// bounding box at Bind time.
-	Zones *geo.Grid
-
-	// Serial disables concurrent shard queries (the zone partition is
-	// still used) — an ablation knob for separating the partition's
-	// effect from the parallelism's.
-	Serial bool
 
 	e        *Engine
 	zones    *geo.Grid
@@ -87,13 +78,7 @@ func NewShardedSource(shards int) *ShardedSource {
 func (s *ShardedSource) Name() string { return fmt.Sprintf("sharded(%d)", s.shardCount()) }
 
 func (s *ShardedSource) shardCount() int {
-	if s.Zones != nil {
-		return s.Zones.NumCells()
-	}
-	if s.Shards < 1 {
-		return 1
-	}
-	return s.Shards
+	return max(s.Shards, 1)
 }
 
 // zoneDims factors n into a near-square rows×cols decomposition with
@@ -108,17 +93,14 @@ func zoneDims(n int) (rows, cols int) {
 	return rows, n / rows
 }
 
-// Bind implements CandidateSource. Like GridSource, it rejects a
-// configured zone grid whose latitude band is too far from the fleet
-// for the conservative planar pre-filtering to hold.
+// Bind implements CandidateSource. The zone grid spans fleetBox, so
+// every driver's start and end latitude lies inside its latitude band:
+// the band's smallest cosine, which the planar pre-filter scales
+// east-west distances by, never overstates a fleet distance.
 func (s *ShardedSource) Bind(e *Engine) {
 	s.e = e
-	zones := s.Zones
-	if zones == nil {
-		rows, cols := zoneDims(s.shardCount())
-		zones = geo.NewGrid(fleetBox(e.Drivers), rows, cols)
-	}
-	checkGridCoversFleet(zones, e.Drivers)
+	rows, cols := zoneDims(s.shardCount())
+	zones := geo.NewGrid(fleetBox(e.Drivers), rows, cols)
 	s.zones = zones
 
 	n := len(e.Drivers)
@@ -195,10 +177,12 @@ func (s *ShardedSource) Presence(i int, present bool) {
 	}
 }
 
-// Candidates implements CandidateSource. The reachability predicate is
-// the same as GridSource's; it is evaluated shard-by-shard, skipping
-// shards whose zone rectangle lies wholly outside the radius, and the
-// surviving shards run concurrently.
+// Candidates implements CandidateSource. A task with pickup deadline
+// t̄− dispatched at now can only go to a driver within
+// maxSpeed·(t̄−−max(freeAt,now)) of the pickup whose shift outlasts the
+// task; that reachability predicate is evaluated shard-by-shard,
+// skipping shards whose zone rectangle lies wholly outside the radius,
+// and the surviving shards run concurrently.
 func (s *ShardedSource) Candidates(task model.Task, now float64, buf []Candidate) []Candidate {
 	e := s.e
 	if task.StartBy < now {
@@ -233,7 +217,7 @@ func (s *ShardedSource) Candidates(task model.Task, now float64, buf []Candidate
 	// (the common radius) the only spawn overlaps the caller's own
 	// shard work. Shards write disjoint s.out slots, so the split
 	// cannot perturb the merge.
-	if len(s.active) > 1 && !s.Serial && runtime.GOMAXPROCS(0) > 1 {
+	if len(s.active) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		var wg sync.WaitGroup
 		wg.Add(len(s.active) - 1)
 		for _, z := range s.active[1:] {
@@ -352,8 +336,8 @@ func zoneBox(zones *geo.Grid, z int) geo.BoundingBox {
 }
 
 // zoneGrid sizes one shard's fine grid: the fleet splits across nz
-// zones, so target a few expected members per cell, as autoGrid does
-// for the whole fleet.
+// zones, so target about two expected members per cell, keeping ring
+// queries on small buckets.
 func zoneGrid(sub geo.BoundingBox, n, nz int) *geo.Grid {
 	dim := int(math.Ceil(math.Sqrt(float64(n) / float64(2*nz))))
 	if dim < 1 {

@@ -188,13 +188,6 @@ type Engine struct {
 	// operational, like shard counts.
 	MatchWorkers int
 
-	// DenseWindows forces batched windows through the pre-decomposition
-	// dense solve — the differential oracle for the sparse component
-	// path. Assignments are identical either way; only speed and
-	// allocation behaviour change. Tests and the bench harness flip it;
-	// production leaves it false.
-	DenseWindows bool
-
 	// pricer, when installed via SetLivePricer, re-prices every arriving
 	// order from live demand/supply observations (see livepricing.go).
 	pricer       LivePricer
@@ -211,9 +204,11 @@ type Engine struct {
 	source     CandidateSource
 	winScratch *windowScratch // pooled batched-window working set
 
-	// auditHook, when set by tests, observes every batched window right
-	// before it is solved and committed.
-	auditHook func(r *eventRun, batch []int, decisionAt float64)
+	// windowHook, when set by tests, sees every batched window right
+	// before it is solved and committed. Returning true means the hook
+	// committed the window itself (the dense oracle does), and the
+	// sparse solve is skipped.
+	windowHook func(r *eventRun, batch []int, decisionAt float64) bool
 }
 
 // New returns an engine over the given market and drivers. It returns an

@@ -1,23 +1,20 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/model"
-	"repro/internal/spatial"
 )
 
-// This file holds the two CandidateSource implementations. ScanSource is
-// the reference: the exact per-driver feasibility loop of Algorithms 3–4.
-// GridSource puts a spatial.Index between the task and that loop: only
-// drivers inside the max-speed reachability radius of the pickup are
-// checked exactly. The pre-filter is conservative — it never drops a
-// driver the scan would accept — and survivors are checked in ascending
-// driver order, so the two sources yield bit-identical simulations (the
-// differential tests assert exactly that).
+// ScanSource is the reference CandidateSource: the exact per-driver
+// feasibility loop of Algorithms 3–4. ShardedSource (sharded.go) puts
+// spatial indexes between the task and that loop: only drivers inside
+// the max-speed reachability radius of the pickup are checked exactly.
+// Its pre-filter is conservative — it never drops a driver the scan
+// would accept — and survivors are checked in ascending driver order,
+// so the two sources yield bit-identical simulations (the differential
+// tests assert exactly that).
 
 // ScanSource enumerates candidates with an exact linear scan over all
 // drivers — O(N) per task. The zero value is ready for Engine use.
@@ -44,149 +41,6 @@ func (s *ScanSource) Moved(int) {}
 // Presence implements CandidateSource. The scan has no index to prune;
 // the engine's exact feasibility check skips absent drivers.
 func (s *ScanSource) Presence(int, bool) {}
-
-// GridSource enumerates candidates through a bucketed spatial index over
-// grid cells that tracks every driver's location and availability window
-// as assignments mutate state. A task with pickup deadline t̄− dispatched
-// at `now` can only go to a driver within maxSpeed·(t̄−−max(freeAt,now))
-// of the pickup whose shift outlasts the task, so the source queries the
-// index with exactly that reachability predicate and runs the exact
-// feasibility checks only on the survivors. On city-scale markets where
-// most of the fleet is off shift, locked, or out of range at any instant
-// this turns the per-task cost from O(N) into O(drivers plausibly able
-// to serve).
-//
-// The radius pre-filter is conservative as long as the market's distance
-// function never undercuts spatial.Safety × the equirectangular distance
-// (true for every metric in this repository; see the spatial package
-// doc), so results are identical to ScanSource on the same engine.
-type GridSource struct {
-	// Grid is the cell decomposition to index drivers over. Leaving it
-	// nil auto-sizes a grid over the fleet's bounding box at Bind time,
-	// targeting a few drivers per cell.
-	Grid *geo.Grid
-
-	e        *Engine
-	ix       *spatial.Index
-	maxSpeed float64 // fastest driver in the fleet, km/h
-	ids      []int   // query scratch
-	db       distBatch
-}
-
-var _ CandidateSource = (*GridSource)(nil)
-
-// NewGridSource returns a grid-indexed source over the given grid; nil
-// auto-sizes one from the fleet when the source is bound to an engine.
-func NewGridSource(grid *geo.Grid) *GridSource {
-	return &GridSource{Grid: grid}
-}
-
-// Name implements CandidateSource.
-func (s *GridSource) Name() string { return "grid-indexed" }
-
-// Bind implements CandidateSource. It panics if the configured grid's
-// latitude band is so far from the fleet's that the index's conservative
-// projection guarantee would no longer hold (see spatial.Safety) — a
-// misconfigured static grid, in the same spirit as geo.NewGrid's own
-// panics; results would otherwise silently diverge from ScanSource.
-func (s *GridSource) Bind(e *Engine) {
-	s.e = e
-	grid := s.Grid
-	if grid == nil {
-		grid = autoGrid(e.Drivers)
-	}
-	checkGridCoversFleet(grid, e.Drivers)
-	locs := make([]geo.Point, len(e.states))
-	for i := range e.states {
-		locs[i] = e.states[i].loc
-	}
-	s.ix = spatial.NewIndex(grid, locs)
-	s.maxSpeed = e.Market.SpeedKmh
-	for i, d := range e.Drivers {
-		if d.SpeedKmh > s.maxSpeed {
-			s.maxSpeed = d.SpeedKmh
-		}
-		// freeAt starts at shift start (the engine resets states that
-		// way); the window narrows as assignments lock the driver.
-		// Drivers that join mid-run start with the empty span and are
-		// restored by Presence when their join event fires.
-		if e.present[i] {
-			s.ix.SetSpan(i, e.states[i].freeAt, d.End)
-		} else {
-			s.ix.SetSpan(i, math.Inf(1), math.Inf(-1))
-		}
-	}
-}
-
-// Candidates implements CandidateSource.
-func (s *GridSource) Candidates(task model.Task, now float64, buf []Candidate) []Candidate {
-	e := s.e
-	// Who could reach the pickup by its deadline? Every driver departs
-	// at max(freeAt, now), so the index prunes on both the travel-time
-	// budget and the availability window. A driver must also outlast the
-	// task: until her release time (the end deadline, or the dispatch
-	// instant in real-time mode, plus the non-negative trip home) — any
-	// driver retiring earlier is infeasible for the scan too.
-	minRetire := task.EndBy
-	if e.RealTime {
-		minRetire = now
-	}
-	s.ids = s.ids[:0]
-	s.ix.NearReachable(task.Source, s.maxSpeed, task.StartBy, now, minRetire,
-		func(id int) { s.ids = append(s.ids, id) })
-	// The index visits in ring/bucket order; restore the canonical
-	// ascending driver order the dispatchers' tie-breaking depends on.
-	slices.Sort(s.ids)
-
-	service := e.Market.TravelTime(task.Source, task.Dest, 0)
-	serviceCost := e.Market.ServiceCost(task)
-	return e.scoreCandidates(&s.db, s.ids, task, now, service, serviceCost, buf)
-}
-
-// Moved implements CandidateSource.
-func (s *GridSource) Moved(i int) {
-	s.ix.Move(i, s.e.states[i].loc)
-	s.ix.SetSpan(i, s.e.states[i].freeAt, s.e.Drivers[i].End)
-}
-
-// Presence implements CandidateSource. The dense index keeps every
-// driver bucketed; absent drivers are pruned by collapsing their
-// availability window to the empty span (and restored from engine
-// state on a join). Correctness never depends on this — the engine's
-// exact check is the arbiter — it only keeps retired fleets cheap.
-func (s *GridSource) Presence(i int, present bool) {
-	if present {
-		s.ix.SetSpan(i, s.e.states[i].freeAt, s.e.Drivers[i].End)
-	} else {
-		s.ix.SetSpan(i, math.Inf(1), math.Inf(-1))
-	}
-}
-
-// checkGridCoversFleet verifies the precondition of the index's planar
-// pre-filter: its longitude scale uses the smallest cosine over the grid
-// box's latitudes, which lower-bounds true east-west distances only for
-// points at latitudes with comparable cosines. A fleet far poleward of
-// the box would have its distances overstated beyond what the Safety
-// slack absorbs, silently voiding the scan/grid equivalence — reject
-// that configuration loudly instead. The 1.05 ceiling leaves most of
-// the 1/spatial.Safety ≈ 1.11 slack for metric disagreement (haversine,
-// road networks) and for drivers drifting to dropoffs near, but outside,
-// the box during simulation.
-func checkGridCoversFleet(grid *geo.Grid, drivers []model.Driver) {
-	boxCos := math.Min(
-		math.Abs(math.Cos(grid.Box.MinLat*math.Pi/180)),
-		math.Abs(math.Cos(grid.Box.MaxLat*math.Pi/180)))
-	for _, d := range drivers {
-		for _, p := range []geo.Point{d.Source, d.Dest} {
-			c := math.Abs(math.Cos(p.Lat * math.Pi / 180))
-			if boxCos > c*1.05 {
-				panic(fmt.Sprintf(
-					"sim: grid box latitudes [%g, %g] too far from driver %d at latitude %g for conservative pre-filtering; use a grid covering the fleet (or a nil Grid to auto-size one)",
-					grid.Box.MinLat, grid.Box.MaxLat, d.ID, p.Lat))
-			}
-		}
-	}
-}
 
 // fleetBox bounds the fleet's start/end positions, padded so boundary
 // drivers do not all clamp into edge cells; points outside it (e.g.
@@ -216,17 +70,4 @@ func fleetBox(drivers []model.Driver) geo.BoundingBox {
 	box.MaxLat = math.Min(box.MaxLat+padDeg, 90)
 	box.MaxLon = math.Min(box.MaxLon+padDeg, 180)
 	return box
-}
-
-// autoGrid sizes a grid over the fleet's bounding box, targeting
-// roughly two drivers per cell so ring queries touch small buckets.
-func autoGrid(drivers []model.Driver) *geo.Grid {
-	dim := int(math.Ceil(math.Sqrt(float64(len(drivers)) / 2)))
-	if dim < 1 {
-		dim = 1
-	}
-	if dim > 512 {
-		dim = 512
-	}
-	return geo.NewGrid(fleetBox(drivers), dim, dim)
 }

@@ -92,7 +92,9 @@ func TestStreamReplayBitIdenticalToRunScenario(t *testing.T) {
 		mk   func() CandidateSource
 	}{
 		{"scan", func() CandidateSource { return nil }},
-		{"grid", func() CandidateSource { return NewGridSource(nil) }},
+		// grid: the zero-value ShardedSource, one zone holding a single
+		// grid index over the fleet.
+		{"grid", func() CandidateSource { return &ShardedSource{} }},
 		{"sharded-1", func() CandidateSource { return NewShardedSource(1) }},
 		{"sharded-2", func() CandidateSource { return NewShardedSource(2) }},
 		{"sharded-4", func() CandidateSource { return NewShardedSource(4) }},
@@ -155,7 +157,9 @@ func TestStreamDynamicDriverAppend(t *testing.T) {
 		mk   func() CandidateSource
 	}{
 		{"scan", func() CandidateSource { return nil }},
-		{"grid", func() CandidateSource { return NewGridSource(nil) }},
+		// grid: the zero-value ShardedSource, one zone holding a single
+		// grid index over the fleet.
+		{"grid", func() CandidateSource { return &ShardedSource{} }},
 		{"sharded-4", func() CandidateSource { return NewShardedSource(4) }},
 	} {
 		t.Run(src.name, func(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 
 // These tests are the sparse window pipeline's correctness wall. The
 // component-decomposed solve (closeBatchSparse) must commit exactly
-// what the pre-decomposition dense oracle (Engine.DenseWindows) would
+// what the pre-decomposition dense oracle (closeBatchDense) would
 // have committed — same assignments, same rejections, bit-identical
 // Result — across solvers, window lengths, candidate sources and
 // dynamic churn/cancellation workloads; and the matcher worker count,
@@ -35,7 +35,12 @@ func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, task
 		e.SetCandidateSource(NewShardedSource(shards))
 	}
 	e.MatchWorkers = workers
-	e.DenseWindows = dense
+	if dense {
+		e.windowHook = func(r *eventRun, batch []int, decisionAt float64) bool {
+			e.closeBatchDense(r, batch, decisionAt, algo)
+			return true
+		}
+	}
 	return e.RunBatchedScenario(tasks, events, window, algo)
 }
 
@@ -146,7 +151,7 @@ func TestWindowSolversAgreePerWindow(t *testing.T) {
 		}
 		e.SetCandidateSource(NewShardedSource(4))
 		windows, ties := 0, 0
-		e.auditHook = func(r *eventRun, batch []int, decisionAt float64) {
+		e.windowHook = func(r *eventRun, batch []int, decisionAt float64) bool {
 			windows++
 			w, union := auditBuildDense(e, r, batch, decisionAt)
 			dense, err := matching.Hungarian(w)
@@ -174,6 +179,7 @@ func TestWindowSolversAgreePerWindow(t *testing.T) {
 			if !reflect.DeepEqual(dense.ColOf, sparse.ColOf) {
 				ties++
 			}
+			return false
 		}
 		res := e.RunBatched(tr.Tasks, 180, BatchHungarian)
 		if windows == 0 {

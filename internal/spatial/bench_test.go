@@ -28,7 +28,7 @@ func benchIndex(n int) (*Index, []geo.Point) {
 			Lon: box.MinLon + rng.Float64()*(box.MaxLon-box.MinLon),
 		}
 	}
-	ix := NewIndex(grid, pts)
+	ix := newIndex(grid, pts)
 	for i := range pts {
 		start := rng.Float64() * 43200
 		ix.SetSpan(i, start, start+4*3600)

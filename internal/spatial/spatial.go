@@ -45,10 +45,9 @@ import (
 const Safety = 0.9
 
 // Index is a driver-over-grid-cells bucket index. Construct with
-// NewIndex (every point present) or NewSparseIndex (membership managed
-// with Add and Remove — the shape zone shards need, where each shard
-// indexes only the drivers currently inside its zone). It is not safe
-// for concurrent mutation.
+// NewSparseIndex and manage membership with Add and Remove — the shape
+// zone shards need, where each shard indexes only the drivers currently
+// inside its zone. It is not safe for concurrent mutation.
 //
 // Besides its location, every point carries an availability window
 // [freeAt, retireAt) — for a driver: when she can next depart (shift
@@ -91,22 +90,12 @@ func (ix *Index) project(p geo.Point) (x, y float64) {
 	return p.Lon * ix.kmPerLon, p.Lat * kmPerLat
 }
 
-// NewIndex builds an index of the given points over grid. Point i is
-// addressed as id i in every other method. Every availability window
-// starts as (-Inf, +Inf), i.e. always available; narrow it with SetSpan.
-func NewIndex(grid *geo.Grid, locs []geo.Point) *Index {
-	ix := NewSparseIndex(grid, len(locs))
-	for id, p := range locs {
-		ix.Add(id, p)
-	}
-	return ix
-}
-
 // NewSparseIndex allocates an index with id space [0, n) over grid in
 // which every id starts absent: queries visit nothing until points are
-// inserted with Add. Zone shards use this shape — each shard allocates
-// the full fleet id space but only ever inserts the drivers currently
-// located in its zone.
+// inserted with Add. Every availability window starts as (-Inf, +Inf),
+// i.e. always available; narrow it with SetSpan. Zone shards use this
+// shape — each shard allocates the full fleet id space but only ever
+// inserts the drivers currently located in its zone.
 func NewSparseIndex(grid *geo.Grid, n int) *Index {
 	h, w := grid.CellSpanKm()
 	// Derive the longitude scale from the same conservative cell width

@@ -8,6 +8,16 @@ import (
 	"repro/internal/geo"
 )
 
+// newIndex builds an index of the given points over grid, every point
+// present: point i is addressed as id i.
+func newIndex(grid *geo.Grid, locs []geo.Point) *Index {
+	ix := NewSparseIndex(grid, len(locs))
+	for id, p := range locs {
+		ix.Add(id, p)
+	}
+	return ix
+}
+
 func randomPoints(rng *rand.Rand, n int, box geo.BoundingBox) []geo.Point {
 	pts := make([]geo.Point, n)
 	for i := range pts {
@@ -31,7 +41,7 @@ func TestNearConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomPoints(rng, 300, geo.PortoBox)
 	for _, dims := range [][2]int{{1, 1}, {3, 5}, {16, 16}, {64, 64}} {
-		ix := NewIndex(geo.NewGrid(geo.PortoBox, dims[0], dims[1]), pts)
+		ix := newIndex(geo.NewGrid(geo.PortoBox, dims[0], dims[1]), pts)
 		for q := 0; q < 50; q++ {
 			query := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
 			radius := rng.Float64() * 8 // up to ~8 km
@@ -58,7 +68,7 @@ func TestNearConservative(t *testing.T) {
 func TestNearAfterMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts := randomPoints(rng, 200, geo.PortoBox)
-	ix := NewIndex(geo.NewGrid(geo.PortoBox, 12, 12), pts)
+	ix := newIndex(geo.NewGrid(geo.PortoBox, 12, 12), pts)
 
 	cur := append([]geo.Point(nil), pts...)
 	for step := 0; step < 2000; step++ {
@@ -66,7 +76,7 @@ func TestNearAfterMoves(t *testing.T) {
 		cur[id] = geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
 		ix.Move(id, cur[id])
 	}
-	fresh := NewIndex(geo.NewGrid(geo.PortoBox, 12, 12), cur)
+	fresh := newIndex(geo.NewGrid(geo.PortoBox, 12, 12), cur)
 	for q := 0; q < 40; q++ {
 		query := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
 		radius := rng.Float64() * 5
@@ -95,7 +105,7 @@ func TestNearOutOfBox(t *testing.T) {
 	inner := geo.BoundingBox{MinLat: 41.14, MinLon: -8.64, MaxLat: 41.20, MaxLon: -8.56}
 	outer := geo.PortoBox
 	pts := randomPoints(rng, 250, outer)
-	ix := NewIndex(geo.NewGrid(inner, 8, 8), pts)
+	ix := newIndex(geo.NewGrid(inner, 8, 8), pts)
 	for q := 0; q < 60; q++ {
 		query := outer.Lerp(rng.Float64(), rng.Float64())
 		radius := rng.Float64() * 10
@@ -120,7 +130,7 @@ func TestNearOutOfBox(t *testing.T) {
 func TestNearReachableConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randomPoints(rng, 300, geo.PortoBox)
-	ix := NewIndex(geo.NewGrid(geo.PortoBox, 10, 14), pts)
+	ix := newIndex(geo.NewGrid(geo.PortoBox, 10, 14), pts)
 
 	free := make([]float64, len(pts))
 	retire := make([]float64, len(pts))
@@ -168,14 +178,14 @@ func TestNearReachableConservative(t *testing.T) {
 
 func TestNearDegenerate(t *testing.T) {
 	pts := []geo.Point{geo.PortoBox.Center()}
-	ix := NewIndex(geo.NewGrid(geo.PortoBox, 4, 4), pts)
+	ix := newIndex(geo.NewGrid(geo.PortoBox, 4, 4), pts)
 	if got := collect(ix, geo.PortoBox.Center(), -1); len(got) != 0 {
 		t.Fatalf("negative radius visited %v", got)
 	}
 	if got := collect(ix, geo.PortoBox.Center(), 0); len(got) != 1 {
 		t.Fatalf("zero radius at the point itself visited %v, want [0]", got)
 	}
-	empty := NewIndex(geo.NewGrid(geo.PortoBox, 4, 4), nil)
+	empty := newIndex(geo.NewGrid(geo.PortoBox, 4, 4), nil)
 	if empty.Len() != 0 {
 		t.Fatalf("empty index Len = %d", empty.Len())
 	}
@@ -190,7 +200,7 @@ func TestNearDegenerate(t *testing.T) {
 func TestRemoveAndAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := randomPoints(rng, 200, geo.PortoBox)
-	ix := NewIndex(geo.NewGrid(geo.PortoBox, 10, 10), pts)
+	ix := newIndex(geo.NewGrid(geo.PortoBox, 10, 10), pts)
 
 	present := make([]bool, len(pts))
 	for i := range present {
@@ -290,7 +300,7 @@ func TestSparseMembershipPanics(t *testing.T) {
 }
 
 func TestMovePanicsOutOfRange(t *testing.T) {
-	ix := NewIndex(geo.NewGrid(geo.PortoBox, 2, 2), randomPoints(rand.New(rand.NewSource(4)), 3, geo.PortoBox))
+	ix := newIndex(geo.NewGrid(geo.PortoBox, 2, 2), randomPoints(rand.New(rand.NewSource(4)), 3, geo.PortoBox))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Move(5) on a 3-point index did not panic")

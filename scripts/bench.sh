@@ -3,19 +3,24 @@
 #
 #   BENCH_2.json — one full online day of maxMargin dispatch at
 #     city-fleet sizes under every candidate source (sequential scan,
-#     grid index, zone shards).
+#     zone shards; one shard is the plain grid index). Files recorded
+#     before the grid source was folded into the one-shard sharded
+#     source also carry a "grid" leg.
 #   BENCH_3.json — the streaming-overhead trajectory: the same day
 #     drained in batch vs replayed event-by-event through the public
 #     dispatch.Service, pricing the open-loop API against the engine.
 #   BENCH_4.json — the streaming-batched trajectory: the same day
 #     window-matched by Engine.RunBatched vs through a WithBatching
 #     dispatch.Service, pricing the open-loop batched API.
-#   BENCH_5.json — the window-kernel trajectory: the same batched day
-#     cleared by the dense whole-matrix oracle vs the sparse
-#     component-decomposed solve, with per-task allocation accounting
-#     (allocs_per_task / bytes_per_task). This suite runs a denser day
-#     than the others (windows only earn their keep holding many
-#     orders): ~40 orders per 300 s window at 12k orders/day.
+#   BENCH_5.json — the window-solve trajectory: the same batched day
+#     cleared by the sparse component-decomposed solve, serially and
+#     with parallel component workers, with per-task allocation
+#     accounting (allocs_per_task / bytes_per_task). The recorded file
+#     predates the dense whole-matrix solve's move into the tests and
+#     keeps its dense legs and speedup_vs_dense / alloc_cut_vs_dense
+#     columns as history. This suite runs a denser day than the others
+#     (windows only earn their keep holding many orders): ~40 orders
+#     per 300 s window at 12k orders/day.
 #   BENCH_6.json — the multi-core trajectory: the sparse windowed
 #     kernel swept across GOMAXPROCS legs (1, 2, 4, and all CPUs) on
 #     the same dense day, with per-decision latency percentiles
@@ -45,13 +50,14 @@
 #     and the harness enforces measured circuity in [1.1, 1.6] and a
 #     ≥ 90% route-cache hit rate on the largest fleet.
 #   BENCH_10.json — the routing-kernel trajectory: contraction
-#     hierarchies vs the landmark-A* kernel on the default Porto grid.
-#     Per kernel: preprocessing seconds, cold point-to-point queries/sec
-#     (with speedup_vs_alt), the one-to-many batch API vs a looped Dist
-#     on 15-target candidate sets, and the same batched day on a cold vs
-#     warm route cache. The harness enforces CH ≥ 5× ALT on cold
-#     point-to-point, a > 1× one-to-many speedup, and bit-identical
-#     books across kernels and cache temperatures.
+#     hierarchies on the default Porto grid. CH preprocessing seconds,
+#     cold point-to-point queries/sec for CH and its Dijkstra reference,
+#     the one-to-many batch API vs a looped Dist on 15-target candidate
+#     sets, and the same batched day on a cold vs warm route cache. The
+#     harness enforces CH ≥ 20× Dijkstra on cold point-to-point, a > 1×
+#     one-to-many speedup, and bit-identical books across cache
+#     temperatures. The recorded file predates the landmark-A* kernel's
+#     removal and keeps its alt legs and speedup_vs_alt as history.
 #
 # All are machine-readable JSON so perf changes diff against a fixed
 # trajectory.
@@ -73,4 +79,4 @@ go run ./cmd/rideshare bench -windows -maxprocs 1,2,4,0 -tasks 12000 -batch-wind
 go run ./cmd/rideshare bench -oracle -tasks 12000 -batch-window 60 -match-workers 4 -out BENCH_7.json
 go run ./cmd/rideshare bench -durable -out BENCH_8.json
 go run ./cmd/rideshare bench -roadnet -out BENCH_9.json
-exec go run ./cmd/rideshare bench -roadnet -router alt,ch -out BENCH_10.json
+exec go run ./cmd/rideshare bench -roadnet -router -out BENCH_10.json
